@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import warnings
-
 from repro.arch.generator import GeneratedModel, GeneratorOptions, build_model
 from repro.arch.model import ArchitectureModel
 from repro.core.reachability import SearchOptions
 from repro.core.reductions import ReductionConfig
 from repro.core.successors import SemanticsOptions
 from repro.core.wcrt import WCRTResult, wcrt_binary_search, wcrt_sup
-from repro.util.errors import AnalysisError
+from repro.util.errors import AnalysisError, ModelError
 
 __all__ = ["TimedAutomataSettings", "RequirementAnalysis", "analyze_wcrt", "analyze_requirements"]
 
@@ -43,7 +41,8 @@ class TimedAutomataSettings:
     deadline: float | None = None
     #: seed for the randomised depth-first order
     seed: int = 0
-    #: extrapolation mode of the symbolic semantics
+    #: extrapolation mode of the symbolic semantics: "max" or "none" (the LU
+    #: grid is selected through ``reductions``)
     extrapolation: str = "max"
     #: the observer-clock ceiling is ``ceiling_factor`` times the requirement
     #: bound; responses beyond the ceiling are reported as lower bounds
@@ -58,29 +57,27 @@ class TimedAutomataSettings:
     #: whenever the WCRT is known to be at least this value (e.g. a response
     #: time observed in a concrete DES run); ignored by ``method="sup"``
     binary_lo: int = 0
-    #: number of forked shard workers for the exact exploration (0/1 = the
-    #: scalar in-process engine).  Verdicts, statistics and witnesses are
-    #: bit-identical to the scalar engine; see ``docs/performance.md``
+    #: key partitions the exact exploration forks into (0/1 = in-process).
+    #: Verdicts, statistics and witnesses are bit-identical to the
+    #: in-process run; see ``docs/performance.md``
     shard_workers: int = 0
     #: options of the network generator
     generator: GeneratorOptions = field(default_factory=GeneratorOptions)
     #: whether to keep parent pointers for witness traces
     record_traces: bool = False
     #: exactness-preserving state-space reductions (LU extrapolation,
-    #: partial-order reduction, symmetry).  Accepts a
+    #: symmetry).  Accepts a
     #: :class:`~repro.core.reductions.ReductionConfig`, a spec string such as
-    #: ``"all"``/``"none"``/``"lu_extrapolation,symmetry"``, or a mapping;
+    #: ``"all"``/``"none"``/``"symmetry"``, or a mapping;
     #: ``None`` means all reductions enabled (the default)
     reductions: ReductionConfig | str | Mapping | None = None
 
     def __post_init__(self):
-        if self.extrapolation == "lu":
-            warnings.warn(
-                "extrapolation='lu' is deprecated; use "
-                "reductions='lu_extrapolation' (the explorer now selects the "
-                "LU grid through ReductionConfig)",
-                DeprecationWarning,
-                stacklevel=3,
+        if self.extrapolation not in ("max", "none"):
+            raise ModelError(
+                f"unknown extrapolation mode {self.extrapolation!r} (expected "
+                "'max' or 'none'; LU extrapolation is "
+                "reductions='lu_extrapolation')"
             )
         self.reductions = ReductionConfig.parse(self.reductions)
 

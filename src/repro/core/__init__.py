@@ -10,8 +10,9 @@ This package is a self-contained, UPPAAL-style analysis stack:
 * :mod:`repro.core.reachability`, :mod:`repro.core.properties`,
   :mod:`repro.core.wcrt` — exploration, queries and worst-case response
   times,
-* :mod:`repro.core.shard` — the forked multi-core exploration engine
-  (bit-identical verdicts, statistics and witnesses).
+* :mod:`repro.core.shard` — the layer-synchronous breadth-first core, run
+  in-process or forked into key partitions (bit-identical verdicts,
+  statistics and witnesses).
 """
 
 from repro.core.automaton import Edge, Location, Sync, TimedAutomaton

@@ -63,7 +63,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.zonepool import _block_capacity, global_zone_pool
+from repro.core.zonepool import _MAX_POOLED_ROWS, _block_capacity, global_zone_pool
 from repro.util.errors import ModelError
 
 __all__ = [
@@ -203,7 +203,7 @@ _SQUARING_MAX_DIM = 24
 #: memory traffic dominates dispatch.  Both paths compute the same unique
 #: shortest-path fixpoint for satisfiable layers (empty layers are only
 #: flagged, their remaining entries are unspecified either way).
-_SQUARING_MAX_COUNT = 16
+_SQUARING_MAX_COUNT = 8
 
 
 class _Scratch:
@@ -804,11 +804,11 @@ class _StackScratch:
     __slots__ = ("t4", "w4", "m4", "c3", "w3", "m3", "e3", "v2", "u2", "w2", "b2")
 
     def __init__(self, capacity: int, dim: int):
-        if dim <= _SQUARING_MAX_DIM:
+        if dim <= _SQUARING_MAX_DIM and capacity <= _SQUARING_MAX_COUNT:
             self.t4 = np.empty((capacity, dim, dim, dim), dtype=np.int64)
             self.w4 = np.empty((capacity, dim, dim, dim), dtype=np.int64)
             self.m4 = np.empty((capacity, dim, dim, dim), dtype=bool)
-        else:  # the squaring kernel is not used at these dimensions
+        else:  # the squaring kernel is not used at these sizes
             self.t4 = self.w4 = self.m4 = None
         self.c3 = np.empty((capacity, dim, dim), dtype=np.int64)
         self.w3 = np.empty((capacity, dim, dim), dtype=np.int64)
@@ -827,16 +827,20 @@ def _stack_scratch(count: int, dim: int) -> _StackScratch:
     key = (_block_capacity(count), dim)
     scratch = _STACK_SCRATCH.get(key)
     if scratch is None:
+        if any(other != dim for _capacity, other in _STACK_SCRATCH):
+            # one network at a time: do not pin every dimension's buffers
+            _STACK_SCRATCH.clear()
         scratch = _StackScratch(*key)
-        _STACK_SCRATCH[key] = scratch
+        if key[0] <= _MAX_POOLED_ROWS:  # wide stacks are rare: do not pin them
+            _STACK_SCRATCH[key] = scratch
     return scratch
 
 
 class DBMStack:
     """A stack of ``count`` DBMs over the same ``dim`` clocks in one buffer.
 
-    The batched counterpart of :class:`DBM` used by the frontier-block
-    exploration: the member matrices live in a single pooled
+    The batched counterpart of :class:`DBM` used by the layered
+    breadth-first core: the member matrices live in a single pooled
     ``(count, dim, dim)`` int64 buffer (``DBMStack.a``) and every kernel is
     one set of whole-stack numpy operations, amortising the per-call
     dispatch overhead of the scalar kernels over the whole block.

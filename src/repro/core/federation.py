@@ -9,7 +9,7 @@ the clock valuations that witness a property violation.
 Storage
 -------
 The raw-bound matrices of the member zones are kept stacked row-wise in one
-preallocated numpy buffer that grows by doubling, so the passed-list
+preallocated numpy buffer that grows geometrically (1.5x), so the passed-list
 inclusion check (the hottest operation of the reachability engine) is a
 single vectorised comparison against all stored zones at once, and inserting
 ``N`` zones performs only ``O(N)`` total row copies (the seed implementation
@@ -29,11 +29,9 @@ from repro.util.errors import ModelError
 
 __all__ = ["Federation"]
 
-_MIN_CAPACITY = 4
-
-#: element budget for a single broadcast comparison intermediate (~4M bools);
+#: element budget for a single broadcast comparison intermediate (256K bools);
 #: larger batched coverage checks are chunked along the candidate axis
-_COMPARE_BUDGET = 1 << 22
+_COMPARE_BUDGET = 1 << 18
 
 
 class Federation:
@@ -117,9 +115,9 @@ class Federation:
         zone is dropped before insertion (exactly the members sequential
         adds would have evicted; relative order is preserved on both sides).
 
-        Used by the block replay of the batched frontier engine, which
-        screens candidates with :meth:`covers_many` + per-block bookkeeping
-        and then flushes each target federation once.
+        Used by the decide step of the layered core, which screens a round's
+        candidates with :meth:`covers_many` + within-round screens and then
+        flushes each target federation once.
         """
         if not zones:
             return
@@ -140,9 +138,16 @@ class Federation:
                 )
             self._evict_covered(doomed_members)
         # within the batch: zone i is evicted by any *later* zone that covers
-        # it (earlier zones cannot cover later ones -- the caller screened)
-        includes = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-        doomed = np.triu(includes, 1).any(axis=1)
+        # it (earlier zones cannot cover later ones -- the caller screened);
+        # chunked along i like the member pass above
+        k = len(rows)
+        doomed = np.zeros(k, dtype=bool)
+        chunk = max(1, _COMPARE_BUDGET // (k * rows.shape[1]))
+        for start in range(0, k, chunk):
+            stop = min(k, start + chunk)
+            includes = (rows[start:stop, None, :] <= rows[None, :, :]).all(axis=2)
+            later = np.arange(start, stop)[:, None] < np.arange(k)[None, :]
+            doomed[start:stop] = (includes & later).any(axis=1)
         self._grow(self._n + int(len(zones) - doomed.sum()))
         for zone, dead in zip(zones, doomed):
             if not dead:
@@ -181,11 +186,11 @@ class Federation:
         return sum(1 for zone in zones if self.add(zone))
 
     def _grow(self, needed: int) -> None:
-        """Ensure stack capacity for *needed* rows (amortised doubling)."""
+        """Ensure stack capacity for *needed* rows (amortised 1.5x growth)."""
         capacity = len(self._buf)
         if needed <= capacity:
             return
-        new_capacity = max(_MIN_CAPACITY, capacity * 2, needed)
+        new_capacity = max(capacity + capacity // 2, needed)
         new_buf = np.empty((new_capacity, self.dim * self.dim), dtype=np.int64)
         if self._n:
             new_buf[: self._n] = self._buf[: self._n]
@@ -213,8 +218,8 @@ class Federation:
         ``(k, dim, dim)`` stack (a :attr:`~repro.core.dbm.DBMStack.a` view)
         or already flattened to ``(k, dim * dim)``.  Returns a boolean mask:
         entry ``c`` is ``True`` when some *single* member zone includes
-        candidate ``c`` entirely -- the passed-list check of the batched
-        frontier exploration, one vectorised comparison for the whole block.
+        candidate ``c`` entirely -- the passed-list check of the layered
+        core, one vectorised comparison per key and round.
 
         The verdict only depends on the *set* of member zones, not on their
         insertion order: redundancy eviction removes a stored zone only when
@@ -223,7 +228,7 @@ class Federation:
         later insertions (``True`` can never revert to ``False``): callers
         caching a mask across mutations may keep trusting positive entries
         and need only re-check negative ones against the zones stored since
-        (see ``Explorer._expand_block``).
+        (the within-round screens of :mod:`repro.core.shard` rely on this).
         """
         if not len(stack):
             return np.zeros(0, dtype=bool)

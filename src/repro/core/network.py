@@ -73,8 +73,8 @@ class CompiledEdge:
     resets: tuple[tuple[int, Callable[[Sequence[int]], int]], ...]
     original: Edge
     #: variable indices read by the guard, update right-hand sides, reset
-    #: values and clock-constraint right-hand sides (static independence
-    #: analysis for the partial-order reduction)
+    #: values and clock-constraint right-hand sides (the replica-symmetry
+    #: check of :mod:`repro.arch.symmetry` reads both footprints)
     reads: frozenset[int] = frozenset()
     #: variable indices written by the updates
     writes: frozenset[int] = frozenset()

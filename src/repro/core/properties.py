@@ -46,7 +46,6 @@ __all__ = [
     "Or",
     "Not",
     "parse_atom",
-    "formula_visibility",
     "BoundFormula",
     "Query",
     "EF",
@@ -162,53 +161,6 @@ def parse_atom(text: str, network: CompiledNetwork) -> StateFormula:
             return ClockProp(guard.clock_constraints[0])
         raise ModelError(f"cannot interpret {text!r} as a single clock constraint")
     return DataProp(expr)
-
-
-def formula_visibility(
-    formula: StateFormula, network: CompiledNetwork
-) -> tuple[set[int], set[int], set[int]]:
-    """The (instance, variable, clock) index sets a formula observes.
-
-    Feeds :meth:`repro.core.successors.SuccessorGenerator.set_visibility`:
-    the partial-order reduction may only commute plans that are invisible to
-    the active query, i.e. that move none of these instances, write none of
-    these variables and reset none of these clocks.
-    """
-    instances: set[int] = set()
-    variables: set[int] = set()
-    clocks: set[int] = set()
-    var_index = network.variable_index
-
-    def walk(node: StateFormula) -> None:
-        if isinstance(node, (And, Or)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Not):
-            walk(node.operand)
-        elif isinstance(node, LocationProp):
-            instance, _location = network.location_id(node.instance, node.location)
-            instances.add(instance)
-        elif isinstance(node, DataProp):
-            variables.update(
-                var_index[name]
-                for name in node.expression.variables()
-                if name in var_index
-            )
-        elif isinstance(node, ClockProp):
-            constraint = node.constraint
-            clocks.add(network.clock_id(constraint.clock))
-            if constraint.other is not None:
-                clocks.add(network.clock_id(constraint.other))
-            variables.update(
-                var_index[name]
-                for name in constraint.rhs.variables()
-                if name in var_index
-            )
-        else:
-            raise ModelError(f"unsupported formula node {node!r}")
-
-    walk(formula)
-    return instances, variables, clocks
 
 
 # ---------------------------------------------------------------------------

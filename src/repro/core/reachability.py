@@ -16,6 +16,12 @@ Search orders:
   worst-case response times when the exact search does not terminate within
   the budget.
 
+Breadth-first queries (``sup``, ``check``, ``count_states``) run on the
+layer-synchronous core of :mod:`repro.core.shard`, in-process; dfs/rdfs,
+explorations without inclusion checking and raw ``visit`` callables run on
+the scalar loop of :meth:`Explorer._explore_scalar`, which is also the
+equality oracle of the layered core.
+
 Budgets (``max_states``, ``max_seconds``) make the engine stop early and mark
 the result as partial instead of raising, because partial exploration is a
 legitimate analysis mode in the paper (Table 1 reports ``> x (df)`` /
@@ -30,12 +36,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from repro.core.dbm import INFINITY_RAW, bound_as_tuple
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
-from repro.core.properties import AG, EF, BoundFormula, Query, StateFormula, Sup, formula_visibility
+from repro.core.properties import AG, EF, BoundFormula, Query, Sup
 from repro.core.reductions import ReductionConfig
 from repro.core.statistics import ExplorationStatistics
 from repro.core.successors import (
@@ -78,27 +82,20 @@ class SearchOptions:
     inclusion_checking: bool = True
     #: keep parent pointers so that witness/counterexample traces can be built
     record_traces: bool = True
-    #: largest run of waiting states sharing a discrete key that the breadth-
-    #: first engine pops as one block and pushes through the batched DBM
-    #: kernels; 1 disables frontier batching (dfs/rdfs always run scalar,
-    #: their pop order is incompatible with popping runs)
-    block_size: int = 128
     #: which state-space reductions the engine may apply; accepts a
     #: :class:`ReductionConfig`, a spec string (``"all"``, ``"none"``, a
     #: comma list of canonical names), a dict of flags or ``None`` (all on);
     #: normalised to a :class:`ReductionConfig` by ``__post_init__``
     reductions: ReductionConfig | str | dict | None = None
-    #: worker processes the sharded breadth-first engine may fork; 0 and 1
-    #: run in-process.  Sharding requires bfs order with inclusion checking
-    #: and ``os.fork`` -- :func:`repro.core.shard.select_explorer` falls back
-    #: to the scalar/block engine otherwise (see ``docs/performance.md``)
+    #: key partitions of the layered breadth-first core that
+    #: :func:`repro.core.shard.select_explorer` forks into worker processes;
+    #: 0 and 1 run the core in-process.  Forking requires bfs order with
+    #: inclusion checking and ``os.fork`` (see ``docs/performance.md``)
     shard_workers: int = 0
 
     def __post_init__(self):
         if self.order not in ("bfs", "dfs", "rdfs"):
             raise ModelError(f"unknown search order {self.order!r}")
-        if self.block_size < 1:
-            raise ModelError("block_size must be at least 1")
         if self.shard_workers < 0:
             raise ModelError("shard_workers must be non-negative")
         self.reductions = ReductionConfig.parse(self.reductions)
@@ -230,6 +227,27 @@ class _SearchNode:
         return Trace(tuple(steps))
 
 
+class _EvalSpec:
+    """What a query entry point's ``visit`` callback looks at.
+
+    The layered core evaluates the spec on every stored state inside the
+    partitions (it closes over bound formulas whose query constants the
+    entry point registered before the exploration, so forked partitions
+    inherit them) and calls ``visit`` once, on the goal or supremum state.
+    """
+
+    __slots__ = ("kind", "predicate", "clock_id", "condition")
+
+    def __init__(self, kind, predicate=None, clock_id=None, condition=None):
+        self.kind = kind  # "count", "goal" or "sup"
+        self.predicate = predicate
+        self.clock_id = clock_id
+        self.condition = condition
+
+
+_COUNT = _EvalSpec("count")
+
+
 class Explorer:
     """Forward zone-graph exploration over a compiled network."""
 
@@ -266,21 +284,59 @@ class Explorer:
             else None
         )
         self._lu_active = mode == "lu"
-        # the ample-set reduction leans on inclusion checking for its
-        # ignoring proviso ("covered successor => expand fully"); without a
-        # coverage-checked passed list it stays off
-        self._por = reductions.partial_order and self.search.inclusion_checking
 
     # ------------------------------------------------------------------ core loop
     def explore(
         self,
         visit: Callable[[SymbolicState, "_SearchNode"], bool] | None = None,
+        spec: _EvalSpec | None = None,
     ) -> ExplorationStatistics:
         """Run the exploration, calling *visit* on every new symbolic state.
 
         ``visit`` may return ``True`` to stop the search (goal found).  The
         returned statistics record why the exploration terminated.
+
+        A breadth-first exploration with inclusion checking runs on the
+        layered core when it knows what *visit* looks at: always for a pure
+        count (no *visit*), and for the query entry points, which pass their
+        *spec*.  The core then calls *visit* only on the goal or supremum
+        state.  Anything else runs the scalar loop.
         """
+        spec = self._layered_spec(visit, spec)
+        if spec is None:
+            return self._explore_scalar(visit)
+        # imported here: the shard module builds on this one
+        from repro.core.shard import explore_layered
+
+        return explore_layered(self, spec, visit)
+
+    def _layered_spec(self, visit, spec: _EvalSpec | None) -> _EvalSpec | None:
+        """The spec the layered core runs with, or None for the scalar loop."""
+        if self.search.order != "bfs" or not self.search.inclusion_checking:
+            return None
+        if spec is None:
+            # a raw visit callable cannot be evaluated inside the core
+            return None if visit is not None else _COUNT
+        return spec
+
+    def _deadline(self) -> float | None:
+        """The absolute ``perf_counter`` instant the budgets stop at."""
+        options = self.search
+        deadline = (
+            time.perf_counter() + options.max_seconds
+            if options.max_seconds is not None else None
+        )
+        if options.deadline is not None:
+            deadline = (
+                options.deadline if deadline is None
+                else min(deadline, options.deadline)
+            )
+        return deadline
+
+    def _explore_scalar(
+        self, visit: Callable[[SymbolicState, "_SearchNode"], bool] | None
+    ) -> ExplorationStatistics:
+        """The one-state-at-a-time loop (dfs, rdfs and the layered core's oracle)."""
         options = self.search
         stats = ExplorationStatistics(search_order=options.order)
         stats.start_timer()
@@ -305,23 +361,11 @@ class Explorer:
             stats.stop_timer()
             return stats
 
-        deadline = (
-            time.perf_counter() + options.max_seconds if options.max_seconds is not None else None
-        )
-        if options.deadline is not None:
-            deadline = (
-                options.deadline if deadline is None
-                else min(deadline, options.deadline)
-            )
+        deadline = self._deadline()
         max_states = options.max_states
         breadth_first = options.order == "bfs"
         randomised = options.order == "rdfs"
         generate = self.generator.successors
-        # frontier blocking: breadth-first only (popping a run from the head
-        # preserves the FIFO expansion order; dfs/rdfs pop from the tail and
-        # would interleave differently), and only with inclusion checking
-        # (the no-inclusion bookkeeping has no batched counterpart)
-        block_cap = options.block_size if breadth_first and options.inclusion_checking else 1
 
         while waiting:
             # budgets are checked *before* popping, so an exhausted budget
@@ -332,56 +376,8 @@ class Explorer:
             if deadline is not None and time.perf_counter() > deadline:
                 stats.termination = "time-budget"
                 break
-            if block_cap > 1 and len(waiting) > 1:
-                # measure the run of consecutive waiting states that share
-                # the head's discrete key (interned bytes compare in C)
-                head_key = waiting[0].state.discrete_bytes()
-                limit = min(len(waiting), block_cap)
-                if max_states is not None:
-                    limit = min(limit, max_states - stats.states_explored)
-                if deadline is not None:
-                    # keep blocks small under a time budget so the batched
-                    # clock work between two deadline checks stays bounded;
-                    # the replay additionally re-checks the deadline before
-                    # every expansion (the scalar before-pop check) and
-                    # pushes unexpanded nodes back, so an expensive plan can
-                    # overshoot by at most one expansion, not a whole block
-                    limit = min(limit, 8)
-                run = 1
-                while run < limit and waiting[run].state.discrete_bytes() == head_key:
-                    run += 1
-                if run > 1 and self._por:
-                    # keys with an ample plan expand one node at a time: the
-                    # probe/proviso decisions must interleave with the
-                    # passed-list updates exactly as in the scalar engine
-                    head_info = self.generator.plan_info(waiting[0].state)
-                    if self.generator.ample_plan(head_info) is not None:
-                        run = 1
-                if run > 1:
-                    block = [waiting.popleft() for _ in range(run)]
-                    outcome = self._expand_block(
-                        block, passed, waiting, stats, visit, record_traces,
-                        deadline,
-                    )
-                    if outcome == "goal":
-                        stats.termination = "goal"
-                        stats.stop_timer()
-                        return stats
-                    if outcome == "deadline":
-                        stats.termination = "time-budget"
-                        break
-                    continue
             node = waiting.popleft() if breadth_first else waiting.pop()
             stats.states_explored += 1
-
-            if self._por:
-                outcome = self._expand_ample(node, passed, waiting, stats, visit, record_traces)
-                if outcome is not None:
-                    if outcome:
-                        stats.termination = "goal"
-                        stats.stop_timer()
-                        return stats
-                    continue
 
             successors = generate(node.state, with_labels=record_traces, extrapolate=False)
             if randomised:
@@ -443,282 +439,6 @@ class Explorer:
             locations, variables, state.zone, pack_discrete(locations, variables)
         )
 
-    def _expand_ample(
-        self,
-        node: _SearchNode,
-        passed: dict,
-        waiting: deque,
-        stats: ExplorationStatistics,
-        visit: Callable[[SymbolicState, "_SearchNode"], bool] | None,
-        record_traces: bool,
-    ) -> bool | None:
-        """Try to expand *node* through a singleton ample plan.
-
-        Returns ``None`` when the state has no ample plan or the ignoring
-        proviso triggered -- the ample successor was already covered by the
-        passed list, or its zone died on the target invariant -- in which
-        case the caller falls back to the full expansion (this closes the
-        classical ignoring problem: a cycle of ample steps must revisit a
-        stored state eventually, and the revisit forces a full expansion).
-        Returns ``True`` when the stored ample successor was a goal,
-        ``False`` when the commuting succeeded.  A rejected probe is off the
-        books: only an accepted ample expansion touches the counters, the
-        rejected probe leaves the statistics to the full expansion that
-        follows.
-        """
-        generator = self.generator
-        info = generator.plan_info(node.state)
-        ample = generator.ample_plan(info)
-        if ample is None:
-            return None
-        folds_before = stats.keys_folded
-        probe = generator.successors(
-            node.state, with_labels=record_traces, extrapolate=False,
-            plan_indices=(ample,),
-        )
-        if not probe:
-            return None
-        label, successor = probe[0]
-        successor = self._canonical(successor, stats)
-        if not self._store(passed, successor):
-            successor.zone.discard()
-            stats.keys_folded = folds_before
-            return None
-        stats.transitions += 1
-        stats.states_stored += 1
-        stats.plans_commuted += len(info.plans) - 1
-        child = _SearchNode(successor, node if record_traces else _UNRECORDED, label)
-        if visit is not None and visit(successor, child):
-            return True
-        waiting.append(child)
-        if len(waiting) > stats.peak_waiting:
-            stats.peak_waiting = len(waiting)
-        return False
-
-    def _declare_visibility(
-        self, *formulas: StateFormula | None, clocks: tuple[str, ...] = ()
-    ) -> None:
-        """Declare what the active query observes (POR invisibility gate).
-
-        Called by every query entry point before exploring; with no
-        arguments the query observes nothing and every eligible plan may be
-        commuted.  Raw :meth:`explore` calls do *not* declare visibility --
-        a fresh explorer then keeps the reduction off until some entry
-        point states what its visit callback reads.
-        """
-        if not self._por:
-            return
-        instances: set[int] = set()
-        variables: set[int] = set()
-        clock_ids: set[int] = {self.network.clock_id(name) for name in clocks}
-        for formula in formulas:
-            if formula is None:
-                continue
-            f_instances, f_variables, f_clocks = formula_visibility(formula, self.network)
-            instances |= f_instances
-            variables |= f_variables
-            clock_ids |= f_clocks
-        self.generator.set_visibility(instances, variables, clock_ids)
-
-    def _expand_block(
-        self,
-        nodes: list[_SearchNode],
-        passed: dict,
-        waiting: deque,
-        stats: ExplorationStatistics,
-        visit: Callable[[SymbolicState, "_SearchNode"], bool] | None,
-        record_traces: bool,
-        deadline: float | None = None,
-    ) -> str | None:
-        """Expand a run of waiting nodes sharing one discrete key as a block.
-
-        The clock work runs batched (:meth:`SuccessorGenerator.
-        block_successors` plus one :meth:`Federation.covers_many` coverage
-        pass and one batched extrapolation per fired plan), while the
-        passed-list updates, statistics and ``visit`` calls replay in the
-        exact scalar order (node-major, plans in firing order) -- so the
-        stored states, counters and traces are identical to expanding the
-        nodes one by one.  Returns ``"goal"`` when *visit* found a goal,
-        ``"deadline"`` when the replay stopped on *deadline* (unexpanded
-        nodes are already back at the head of *waiting*), ``None``
-        otherwise.
-
-        The pre-computed coverage verdicts stay exact under the replay:
-        coverage is monotone (``covers_many``), so a candidate covered
-        before the block is still covered at its turn, and a ``False``
-        verdict can only be flipped by a zone *stored during this block* --
-        eviction never shrinks coverage (the evictor includes the evicted
-        zone).  The replay therefore tracks the zones it stores per target
-        key and re-checks pending candidates against just those, instead of
-        re-running the full federation pass.  That re-check may equivalently
-        run on the extrapolated candidate because ``Z ⊆ W  ⟺  Extra(Z) ⊆ W``
-        for stored zones ``W`` (see :meth:`_store`).
-        """
-        states = [node.state for node in nodes]
-        info, fires = self.generator.block_successors(states)
-        count = len(nodes)
-        spec = self.symmetry
-
-        # per-fire preparation: symmetry folding of the shared target key,
-        # pre-block coverage pass, batched extrapolation of the surviving
-        # layers, layer lookup tables
-        prepared = []
-        errors = []
-        for fire in fires:
-            if fire.error is not None:
-                has_node = np.zeros(count, dtype=bool)
-                has_node[fire.node_indices] = True
-                errors.append((fire, has_node))
-                continue
-            plan = fire.plan
-            locations, variables = plan.locations, plan.variables
-            key_bytes = plan.key_bytes
-            folded = False
-            if spec is not None:
-                locations, variables, perm = spec.canonicalize(
-                    plan.locations, plan.variables, plan.key_bytes
-                )
-                if perm is not None:
-                    # every layer shares the plan's target discrete state,
-                    # so one whole-stack clock permutation folds them all;
-                    # it must precede coverage and extrapolation (both are
-                    # clock-labelled)
-                    fire.stack.permute(perm)
-                    key_bytes = pack_discrete(locations, variables)
-                    folded = True
-            layer_of = np.full(count, -1, dtype=np.intp)
-            layer_of[fire.node_indices] = np.arange(len(fire.node_indices))
-            federation = passed.get(key_bytes)
-            if federation is not None:
-                covered = federation.covers_many(fire.stack.a)
-            else:
-                covered = np.zeros(len(fire.node_indices), dtype=bool)
-            kept = np.flatnonzero(~covered)
-            if len(kept) < len(fire.node_indices):
-                stack = fire.stack.compress(kept) if len(kept) else None
-                fire.stack.discard()
-            else:
-                stack = fire.stack
-            if stack is not None:
-                self.generator.extrapolate_stack(stack)
-                flat = stack.a.reshape(len(kept), -1)
-            else:
-                flat = None
-            kept_layer = np.full(len(fire.node_indices), -1, dtype=np.intp)
-            kept_layer[kept] = np.arange(len(kept))
-            label = self.generator._plan_label(info, fire.plan_index) if record_traces else None
-            prepared.append((
-                layer_of, covered, kept_layer, stack, flat, label,
-                locations, variables, key_bytes, folded,
-            ))
-
-        try:
-            return self._replay_block(
-                nodes, prepared, errors, passed, waiting, stats, visit,
-                record_traces, deadline,
-            )
-        finally:
-            # also reached when a deferred plan error propagates mid-replay:
-            # the pooled block buffers must go back either way
-            for entry in prepared:
-                stack = entry[3]
-                if stack is not None:
-                    stack.discard()
-
-    def _replay_block(
-        self, nodes, prepared, errors, passed, waiting, stats, visit,
-        record_traces, deadline=None,
-    ) -> str | None:
-        """The scalar-order replay of :meth:`_expand_block` (see there).
-
-        ``pending`` collects the zones stored per target key while the block
-        replays -- they are the only zones that can invalidate a negative
-        pre-block coverage verdict, so later candidates re-check against
-        just them, and each federation is flushed once at block end
-        (``add_many_uncovered``), not once per stored zone.
-
-        *deadline* replays the scalar engine's before-pop time-budget check
-        before every expansion after the first (the outer loop already
-        checked before the block was popped): on expiry the unexpanded tail
-        goes back to the head of the waiting list in order and the zones
-        stored so far are flushed, leaving exactly the state a scalar run
-        stopped at the same expansion count would leave.
-        """
-        count = len(nodes)
-        pending: dict[bytes, list] = {}
-        goal = False
-        expired = False
-        for position, node in enumerate(nodes):
-            if goal:
-                break
-            if (
-                deadline is not None and position
-                and time.perf_counter() > deadline
-            ):
-                waiting.extendleft(reversed(nodes[position:]))
-                expired = True
-                break
-            stats.states_explored += 1
-            for fire, has_node in errors:
-                if has_node[position]:
-                    # scalar generation raises before yielding any successor
-                    # of this state; earlier nodes of the block are done
-                    raise fire.error.with_traceback(None)
-            for (layer_of, covered, kept_layer, stack, flat, label,
-                 locations, variables, key_bytes, folded) in prepared:
-                layer = layer_of[position]
-                if layer < 0:
-                    continue
-                stats.transitions += 1
-                if folded:
-                    stats.keys_folded += 1
-                if covered[layer]:
-                    stats.inclusions += 1
-                    if self._lu_active:
-                        stats.states_subsumed_lu += 1
-                    continue
-                row = flat[kept_layer[layer]]
-                stored_here = pending.get(key_bytes)
-                if stored_here is not None and any(
-                    (row <= zone.m).all() for zone in stored_here
-                ):
-                    stats.inclusions += 1
-                    if self._lu_active:
-                        stats.states_subsumed_lu += 1
-                    continue
-                zone = stack.layer_dbm(kept_layer[layer])
-                if stored_here is None:
-                    pending[key_bytes] = [zone]
-                else:
-                    stored_here.append(zone)
-                stats.states_stored += 1
-                successor = SymbolicState(locations, variables, zone, key_bytes)
-                child = _SearchNode(successor, node if record_traces else _UNRECORDED, label)
-                if visit is not None and visit(successor, child):
-                    goal = True
-                    break
-                waiting.append(child)
-                # the scalar engine would still hold this block's unprocessed
-                # tail in the waiting list at this point; account for it so
-                # the peak matches the scalar run exactly
-                virtual_length = len(waiting) + (count - position - 1)
-                if virtual_length > stats.peak_waiting:
-                    stats.peak_waiting = virtual_length
-
-        # flush the block's stores, one batched federation update per key (on
-        # a goal return the flush is skipped: the passed list dies with the
-        # search, and the statistics were already updated during the replay)
-        if not goal:
-            for key, zones in pending.items():
-                federation = passed.get(key)
-                if federation is None:
-                    federation = Federation(zones[0].dim)
-                    passed[key] = federation
-                federation.add_many_uncovered(zones)
-        if goal:
-            return "goal"
-        return "deadline" if expired else None
-
     def _store(self, passed: dict, state: SymbolicState) -> bool:
         """Insert into the passed list; False when an existing zone covers it.
 
@@ -758,7 +478,6 @@ class Explorer:
         saved_constants = self.network.query_constants_snapshot()
         try:
             bound_formula = query.bind(self.network)
-            self._declare_visibility(query.formula)
             found: list[_SearchNode] = []
 
             def visit(state: SymbolicState, node: _SearchNode) -> bool:
@@ -767,7 +486,7 @@ class Explorer:
                     return True
                 return False
 
-            stats = self.explore(visit)
+            stats = self.explore(visit, _EvalSpec("goal", bound_formula.possibly))
             if found:
                 return ReachabilityResult(
                     query, True, found[0].trace() if self.search.record_traces else None, stats
@@ -790,8 +509,6 @@ class Explorer:
                 self.network.register_query_constant(clock, constant)
             for clock, constant in bound_formula.max_clock_constant().items():
                 self.network.register_query_constant(clock, constant)
-            # ¬φ observes exactly the atoms of φ
-            self._declare_visibility(query.formula)
             violations: list[_SearchNode] = []
 
             def visit(state: SymbolicState, node: _SearchNode) -> bool:
@@ -800,7 +517,7 @@ class Explorer:
                     return True
                 return False
 
-            stats = self.explore(visit)
+            stats = self.explore(visit, _EvalSpec("goal", negated.possibly))
             if violations:
                 return ReachabilityResult(
                     query,
@@ -831,12 +548,6 @@ class Explorer:
             if condition is not None:
                 for clock, constant in condition.max_clock_constant().items():
                     network.register_query_constant(clock, constant)
-            # the supremum reads the queried clock in every matching state;
-            # commuted interleavings never lose it: time is frozen while an
-            # ample source location is occupied, so the skipped states'
-            # clock bounds never exceed their block entry state's
-            self._declare_visibility(query.condition, clocks=(query.clock,))
-
             best_raw = None
             best_node: list[_SearchNode | None] = [None]
 
@@ -850,7 +561,9 @@ class Explorer:
                     best_node[0] = node
                 return False
 
-            stats = self.explore(visit)
+            stats = self.explore(
+                visit, _EvalSpec("sup", clock_id=clock_id, condition=condition)
+            )
 
             if best_raw is None:
                 return SupResult(query, None, False, not stats.exhaustive, stats)
@@ -887,9 +600,9 @@ class Explorer:
     def reachable_discrete_states(self) -> set[tuple]:
         """Explore fully and return the set of reachable discrete states.
 
-        Always enumerates the *concrete* discrete space: symmetry folding
-        and ample commuting are suspended for the duration of the call, so
-        the result is independent of the active reduction config.
+        Always enumerates the *concrete* discrete space: symmetry folding is
+        suspended for the duration of the call, so the result is independent
+        of the active reduction config.
         """
         seen: set[tuple] = set()
 
@@ -897,12 +610,11 @@ class Explorer:
             seen.add(state.discrete_key())
             return False
 
-        saved_symmetry, saved_por = self.symmetry, self._por
-        self.symmetry, self._por = None, False
+        saved_symmetry, self.symmetry = self.symmetry, None
         try:
             stats = self.explore(visit)
         finally:
-            self.symmetry, self._por = saved_symmetry, saved_por
+            self.symmetry = saved_symmetry
         if not stats.exhaustive:
             raise AnalysisError(
                 "exploration budget exhausted before the state space was covered"
@@ -910,10 +622,5 @@ class Explorer:
         return seen
 
     def count_states(self) -> ExplorationStatistics:
-        """Explore fully (or until the budget) and return the statistics.
-
-        Declares an empty visibility: a pure state count observes nothing,
-        so the partial-order reduction may commute every eligible plan.
-        """
-        self._declare_visibility()
+        """Explore fully (or until the budget) and return the statistics."""
         return self.explore(None)

@@ -1,6 +1,6 @@
 """The unified state-space reduction configuration.
 
-One frozen :class:`ReductionConfig` names the three exactness-preserving
+One frozen :class:`ReductionConfig` names the two exactness-preserving
 reductions of the zone engine, under the same canonical field names
 everywhere a reduction can be switched -- :class:`~repro.core.reachability.
 SearchOptions`, :class:`~repro.arch.analysis.TimedAutomataSettings`,
@@ -11,8 +11,6 @@ request schema:
 
 * ``lu_extrapolation`` -- per-clock lower/upper-bound (LU) zone
   extrapolation instead of the single maximal-constant grid;
-* ``partial_order`` -- ample-set partial-order reduction over the memoised
-  firing plans (commuting zero-delay interleavings are explored once);
 * ``symmetry`` -- canonicalisation of discrete keys under verified
   automorphisms of replicated architecture units.
 
@@ -33,7 +31,7 @@ from repro.util.errors import ModelError
 __all__ = ["REDUCTION_FIELDS", "ReductionConfig"]
 
 #: canonical reduction names, in the order they are documented
-REDUCTION_FIELDS = ("lu_extrapolation", "partial_order", "symmetry")
+REDUCTION_FIELDS = ("lu_extrapolation", "symmetry")
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,6 @@ class ReductionConfig:
     #: per-clock lower/upper-bound zone extrapolation (Extra_LU); falls back
     #: to maximal-constant extrapolation when traces are recorded
     lu_extrapolation: bool = True
-    #: ample-set partial-order reduction over commuting zero-delay firings
-    partial_order: bool = True
     #: discrete-key canonicalisation under verified replication
     #: automorphisms; falls back to identity when traces are recorded or the
     #: network carries no symmetry specification
@@ -90,7 +86,7 @@ class ReductionConfig:
 
         ``None`` and ``"all"`` mean every reduction on, ``"none"`` means the
         unreduced configuration, a comma-separated string of canonical names
-        (``"lu_extrapolation,symmetry"``) enables exactly those, a dict maps
+        (``"lu_extrapolation"``) enables exactly those, a dict maps
         canonical names to booleans, and an existing config passes through.
         """
         if spec is None:

@@ -1,38 +1,41 @@
-"""Sharded exact exploration: the zone graph split across worker processes.
+"""The layer-synchronous breadth-first core: the one BFS engine.
 
-:class:`ShardedExplorer` partitions the passed and waiting stores of the
-breadth-first engine by a stable hash of the interned discrete key across
-``SearchOptions.shard_workers`` forked worker processes.  Every discrete key
-is *owned* by exactly one shard (``crc32(key) % workers``); the owner holds
+Every breadth-first query with inclusion checking runs here.  The passed
+and waiting stores are split into *partitions* by a stable hash of the
+interned discrete key (``crc32(key) % workers``); the owner partition holds
 the key's :class:`~repro.core.federation.Federation` and makes every
-store/coverage decision for it, so the per-key decision sequence is a local
-replay of the scalar engine.  Successor candidates whose target key lives on
-another shard are handed off through per-worker
-:class:`~repro.core.zonepool.SharedZonePool` outboxes (the pipes carry only
-``(offset, count)`` descriptors, the raw zone rows travel through shared
-memory).
+store/coverage decision for it.  A :class:`_Partition` knows nothing about
+transport, and two transports drive the same class:
+
+* **in-process** (``shard_workers`` 0 or 1, :class:`_LocalFleet`): one
+  partition owns every key and the coordinator calls it directly -- no
+  fork, no pipes, no shared memory, no stealing;
+* **forked** (``shard_workers >= 2``, :class:`_ForkedFleet` behind
+  :class:`ShardedExplorer`): one worker process per partition
+  (:class:`_ShardWorker`); candidates whose target key lives on another
+  partition travel through per-worker
+  :class:`~repro.core.zonepool.SharedZonePool` outboxes (the pipes carry
+  only ``(offset, count)`` descriptors).
 
 Round protocol
 --------------
-The exploration proceeds in *rounds* that are exactly the BFS levels of the
-scalar engine:
+The exploration proceeds in *rounds*, each a contiguous range of the scalar
+BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 
-1. **ship** (optional): when the coordinator's deterministic count-based
-   work-stealing pass finds a skewed frontier, the richest shard ships half
-   of its surplus (the highest-sequence states) to the poorest shard.
-2. **expand**: every worker pops its owned (plus stolen) frontier states
-   below the round horizon, pushes them through the batched successor
-   kernels (:meth:`SuccessorGenerator.block_successors`), folds each target
-   key onto its symmetry representative *before* hashing, and routes each
-   candidate -- tagged ``(parent_seq, plan_index)`` -- to the owner of its
-   target key.
-3. **decide**: every worker sorts the candidates it owns by tag and replays
-   the scalar store discipline per key: one batched
+1. **ship** (forked only, optional): when the coordinator's deterministic
+   count-based work-stealing pass finds a skewed frontier, the richest
+   partition ships half of its surplus (the highest-sequence states) to the
+   poorest.
+2. **expand**: every partition pops its frontier states below the round
+   horizon, pushes them through the batched successor kernels
+   (:meth:`SuccessorGenerator.block_successors`), folds each target key onto
+   its symmetry representative *before* hashing, and routes each candidate
+   -- tagged ``(parent_seq, plan_index)`` -- to the owner of its target key.
+3. **decide**: every partition sorts the candidates it owns by tag and
+   replays the scalar store discipline per key: one batched
    :meth:`Federation.covers_many` pass against the pre-round federation,
-   batched extrapolation of the survivors, then a tag-ordered walk with the
-   same pending re-check the block engine uses
-   (:meth:`Explorer._replay_block`), flushed once per key through
-   :meth:`Federation.add_many_uncovered`.
+   vectorised within-round screens, one round-wide batched extrapolation,
+   and a single :meth:`Federation.add_many_uncovered` flush per key.
 4. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
@@ -44,13 +47,18 @@ The scalar candidate order *is* the lexicographic tag order: scalar BFS pops
 states in seq order and generates each state's successors in plan-index
 order.  Candidate generation never reads the passed list, and a candidate's
 store/coverage decision depends only on the zones previously stored under
-its own key -- all of which live on the owner shard (earlier rounds) or in
-the owner's tag-ordered pending list (this round).  The owner deciding its
-candidates in tag order therefore replays the scalar decisions exactly;
-verdicts, traces, witnesses and every comparable
-:class:`ExplorationStatistics` counter are bit-identical to the scalar
-engine (``tests/core/test_shard.py`` pins this, the scaling benchmark
-enforces it on the case study with a hard non-zero exit).
+its own key -- all of which live on the owner partition (earlier rounds) or
+in this round's tag-ordered screen.  Verdicts, traces, witnesses and every
+comparable :class:`ExplorationStatistics` counter are therefore identical
+to the scalar loop (:meth:`Explorer._explore_scalar`), in either transport
+and for any round horizon; ``tests/core/test_statistics_contract.py`` pins
+this.
+
+Budgets: ``max_states`` caps the last round at the budget.  Under a time
+budget every round is capped at :data:`_DEADLINE_ROUND` expansions, because
+the deadline is only checked between rounds -- a stop therefore overshoots
+by at most one capped round, and the statistics equal the scalar loop's at
+``max_states`` = the explored count.
 
 Witness traces are reconstructed by *replay*: the coordinator keeps only the
 ``(parent_seq, plan_index)`` tag of every stored state, walks the tag chain
@@ -58,23 +66,13 @@ from the goal back to the root, and re-fires the plan chain from the initial
 state through the scalar successor pipeline -- bit-identical zones at a
 memory cost independent of the state count.
 
-The round barrier makes distributed termination detection degenerate: the
-coordinator relays every message, so its per-round credit accounting
-(requests out == replies in, frontier empty, nothing stored) is the
-Safra-style termination token collapsed onto a star topology.
-
-Supervision: a worker that dies (fault injection, OOM, a kill) closes its
-pipe; the coordinator detects the EOF, tears the fleet down and restarts the
-whole exploration once -- the restart is deterministic, so the result is
-unchanged.  A second crash raises :class:`AnalysisError`.  Worker-side
-*semantic* errors (deferred range violations behind live guards) are not
-crashes: they travel back as data and re-raise in the parent exactly where
-the scalar engine would have raised them.
-
-The ample-set (partial-order) reduction stays off under sharding: its
-ignoring proviso reads the passed list mid-expansion, which under the level-
-synchronous protocol would observe a stale shard-local prefix.  Symmetry
-folding and LU extrapolation compose fully (``docs/performance.md``).
+Supervision (forked only): a worker that dies (fault injection, OOM, a kill)
+closes its pipe; the coordinator detects the EOF, tears the fleet down and
+restarts the whole exploration once -- the restart is deterministic, so the
+result is unchanged.  A second crash raises :class:`AnalysisError`.
+Worker-side *semantic* errors (deferred range violations behind live guards)
+are not crashes: they travel back as data and re-raise in the parent exactly
+where the scalar loop would have raised them.
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ import numpy as np
 from repro.core.dbm import DBM, DBMStack
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
-from repro.core.properties import BoundFormula
 from repro.core.reachability import (
     _UNRECORDED,
     Explorer,
@@ -101,21 +98,26 @@ from repro.core.reachability import (
 )
 from repro.core.statistics import ExplorationStatistics
 from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
-from repro.core.zonepool import SharedZonePool
+from repro.core.zonepool import _MAX_POOLED_ROWS, SharedZonePool
 from repro.util.errors import AnalysisError
 
-__all__ = ["ShardedExplorer", "select_explorer"]
+__all__ = ["ShardedExplorer", "explore_layered", "select_explorer"]
 
-#: frontier imbalance (richest minus poorest shard) above which the
+#: frontier imbalance (richest minus poorest partition) above which the
 #: coordinator ships half the surplus; tests shrink it to force steals
 _STEAL_THRESHOLD = 64
 
 #: rows per worker outbox segment; larger hand-off bursts spill inline
 _OUTBOX_ROWS = 8192
 
+#: expansions per round while a time budget is set (the deadline is checked
+#: between rounds, so this bounds the overshoot; docs/performance.md gives
+#: the measurement it was chosen by)
+_DEADLINE_ROUND = 64
+
 
 def _owner_of(key_bytes: bytes, workers: int) -> int:
-    """Owner shard of a discrete key (stable across processes and runs)."""
+    """Owner partition of a discrete key (stable across processes and runs)."""
     return zlib.crc32(key_bytes) % workers
 
 
@@ -127,7 +129,7 @@ def _unpack_key(key_bytes: bytes, n_instances: int) -> tuple[tuple, tuple]:
 
 
 class _ShardCrash(Exception):
-    """A worker pipe closed unexpectedly: the shard fleet must restart."""
+    """A worker pipe closed unexpectedly: the fleet must restart."""
 
 
 class _ShardFatal(Exception):
@@ -173,22 +175,9 @@ def _recv(fd: int) -> tuple:
     return pickle.loads(_read_exact(fd, length))
 
 
-class _EvalSpec:
-    """What every shard evaluates on each stored state (built pre-fork).
-
-    The spec closes over bound formulas whose query constants the entry
-    point registered *before* the fork, so every worker inherits the exact
-    extrapolation the scalar engine would use.
-    """
-
-    __slots__ = ("kind", "predicate", "clock_id", "condition")
-
-    def __init__(self, kind, predicate=None, clock_id=None, condition=None):
-        self.kind = kind  # "count", "goal" or "sup"
-        self.predicate = predicate
-        self.clock_id = clock_id
-        self.condition = condition
-
+#: element budget of one broadcast comparison in the within-round screens
+#: (wider keys are chunked along the candidate axis)
+_SCREEN_BUDGET = 1 << 18
 
 #: cached strictly-upper-triangular masks for `_covered_by_earlier` (the
 #: screens run once per key per round, mostly on small candidate counts)
@@ -204,7 +193,7 @@ def _covered_by_earlier(flat: np.ndarray) -> np.ndarray:
     k = len(flat)
     if k <= 1:
         return np.zeros(k, dtype=bool)
-    step = max(1, (32 << 20) // max(1, k * flat.shape[1]))
+    step = max(1, _SCREEN_BUDGET // max(1, k * flat.shape[1]))
     if k <= step:
         earlier = _TRIU_CACHE.get(k)
         if earlier is None:
@@ -230,7 +219,7 @@ def _covered_by_earlier_masked(flat: np.ndarray, changed: np.ndarray) -> np.ndar
     """
     k = len(flat)
     cols = np.flatnonzero(changed)
-    if len(cols) * k * flat.shape[1] > (32 << 20):
+    if len(cols) * k * flat.shape[1] > _SCREEN_BUDGET:
         # wide level with mostly-changed rows: the slim pair set would not
         # be slim, and the chunked full screen gives the same verdicts
         return _covered_by_earlier(flat)
@@ -259,77 +248,55 @@ class _KeyContext:
         self.variables = variables
 
 
-class _ShardWorker:
-    """One forked shard: owns a key partition, speaks the round protocol."""
+class _Partition:
+    """One key partition of the layered core, with no transport attached.
 
-    def __init__(self, rank, workers, read_fd, write_fd, explorer, spec,
-                 pool, initial, root_key, attempt):
+    Holds the passed federations of the keys it owns and the frontier states
+    awaiting expansion, and runs the steps of a round (:meth:`expand`,
+    :meth:`decide`, :meth:`ship`).  In-process the coordinator calls it
+    directly; forked it runs behind a :class:`_ShardWorker`.
+    """
+
+    def __init__(self, rank, workers, explorer, spec, initial, root_key):
         self.rank = rank
         self.workers = workers
-        self.read_fd = read_fd
-        self.write_fd = write_fd
         self.generator = explorer.generator
         self.symmetry = explorer.symmetry
         self.spec = spec
-        self.pool = pool
         self.dim = explorer.network.dim
         self.n_instances = len(explorer.network.instances)
-        self.attempt = attempt
         self.passed: dict[bytes, Federation] = {}
         #: seq -> (key_bytes, state); stored, not yet expanded
         self.frontier: dict[int, tuple[bytes, SymbolicState]] = {}
-        #: stored this round, awaiting sequence numbers (tag order)
-        self.unassigned: list[tuple[tuple[int, int], bytes, SymbolicState]] = []
-        #: candidate groups this worker generated for itself
+        #: stored last round, awaiting sequence numbers (tag order)
+        self.unassigned: list[tuple[bytes, SymbolicState]] = []
+        #: candidate groups this partition generated for its own keys
         self.local_groups: list[tuple] = []
         self.sup_best: tuple[int, tuple[int, int]] | None = None
-        self._injected = False
         if _owner_of(root_key, workers) == rank:
             federation = Federation(self.dim)
             federation.add_uncovered(initial.zone)
             self.passed[root_key] = federation
             self.frontier[0] = (root_key, initial)
 
-    # -------------------------------------------------------------- main loop
-    def run(self) -> None:
-        try:
-            while True:
-                message = _recv(self.read_fd)
-                tag = message[0]
-                if tag == "expand":
-                    self._expand(message[1], message[2], message[3])
-                elif tag == "decide":
-                    self._decide(message[1])
-                elif tag == "ship":
-                    self._ship(message[1], message[2])
-                else:  # pragma: no cover - protocol bug
-                    raise AnalysisError(f"unknown shard message {tag!r}")
-        except _ShardCrash:
-            # the coordinator closed the pipes: normal shutdown
-            os._exit(0)
-        except BaseException as exc:  # noqa: BLE001 - must cross the pipe
-            try:
-                try:
-                    pickle.dumps(exc)
-                except Exception:
-                    exc = AnalysisError(
-                        f"shard worker {self.rank} failed: {exc!r}"
-                    )
-                _send(self.write_fd, ("fatal", exc))
-            except _ShardCrash:
-                pass
-            os._exit(1)
-
-    # -------------------------------------------------------------- expand
     def _install(self, assigned) -> None:
         """Bind the coordinator's sequence numbers to last round's stores."""
         if len(assigned) != len(self.unassigned):  # pragma: no cover
             raise AnalysisError("shard sequence assignment out of step")
-        for (tag, key, state), seq in zip(self.unassigned, assigned):
+        for (key, state), seq in zip(self.unassigned, assigned):
             self.frontier[seq] = (key, state)
         self.unassigned = []
 
-    def _expand(self, upto, assigned, stolen) -> None:
+    # -------------------------------------------------------------- expand
+    def expand(self, upto, assigned, stolen=()) -> tuple:
+        """Expand the owned frontier below *upto*.
+
+        Returns ``(outgoing, error, handoffs)``: the candidate groups
+        ``(key, plan_index, folded, parent_seqs, rows)`` per destination
+        rank (groups for this partition's own keys stay here), the earliest
+        deferred plan error as ``(parent_seq, exception)``, and the number
+        of candidates handed to other partitions.
+        """
         self._install(assigned)
         for seq, key, row in stolen:
             locations, variables = _unpack_key(key, self.n_instances)
@@ -337,24 +304,23 @@ class _ShardWorker:
             self.frontier[seq] = (
                 key, SymbolicState(locations, variables, zone, key)
             )
-        if not self._injected:
-            self._injected = True
-            from repro.sweep.faults import maybe_inject
 
-            maybe_inject(f"shard/{self.rank}", self.rank, self.attempt,
-                         stage="shard")
-
-        todo = sorted(seq for seq in self.frontier if seq < upto)
-        by_key: dict[bytes, list] = {}
-        for seq in todo:
+        # same-key runs of at most one pooled block each, so the batched
+        # kernels never allocate round-sized buffers
+        blocks: list[list] = []
+        open_blocks: dict[bytes, list] = {}
+        for seq in sorted(seq for seq in self.frontier if seq < upto):
             key, state = self.frontier.pop(seq)
-            by_key.setdefault(key, []).append((seq, state))
+            block = open_blocks.get(key)
+            if block is None or len(block) == _MAX_POOLED_ROWS:
+                block = open_blocks[key] = []
+                blocks.append(block)
+            block.append((seq, state))
 
         outgoing: dict[int, list] = {}
         error = None  # (parent_seq, exception)
         handoffs = 0
-        offset = 0
-        for group in by_key.values():
+        for group in blocks:
             seqs = np.array([seq for seq, _ in group], dtype=np.int64)
             states = [state for _, state in group]
             _info, fires = self.generator.block_successors(states)
@@ -365,8 +331,6 @@ class _ShardWorker:
                         error = (error_seq, fire.error)
                     continue
                 plan = fire.plan
-                locations = plan.locations
-                variables = plan.variables
                 key_bytes = plan.key_bytes
                 folded = False
                 if self.symmetry is not None:
@@ -380,35 +344,26 @@ class _ShardWorker:
                         key_bytes = pack_discrete(locations, variables)
                         folded = True
                 parent_seqs = seqs[fire.node_indices]
-                rows = fire.stack.a.reshape(len(parent_seqs), -1)
+                rows = fire.stack.a.reshape(len(parent_seqs), -1).copy()
+                fire.stack.discard()
+                candidates = (key_bytes, fire.plan_index, folded, parent_seqs, rows)
                 dest = _owner_of(key_bytes, self.workers)
                 if dest == self.rank:
-                    self.local_groups.append(
-                        (key_bytes, fire.plan_index, folded, parent_seqs,
-                         rows.copy())
-                    )
+                    self.local_groups.append(candidates)
                 else:
                     handoffs += len(parent_seqs)
-                    if self.pool.write(self.rank, offset, rows):
-                        ref = ("shm", offset, len(parent_seqs))
-                        offset += len(parent_seqs)
-                    else:
-                        ref = ("inline", rows.copy())
-                    outgoing.setdefault(dest, []).append(
-                        (key_bytes, fire.plan_index, folded, parent_seqs, ref)
-                    )
-                fire.stack.discard()
-        _send(self.write_fd, ("expanded", outgoing, error, handoffs))
+                    outgoing.setdefault(dest, []).append(candidates)
+        return outgoing, error, handoffs
 
     # -------------------------------------------------------------- decide
-    def _decide(self, incoming) -> None:
-        groups = []
-        for src, key, plan_index, folded, parent_seqs, ref in incoming:
-            if ref[0] == "shm":
-                rows = self.pool.read(src, ref[1], ref[2])
-            else:
-                rows = ref[1]
-            groups.append((key, plan_index, folded, parent_seqs, rows))
+    def decide(self, incoming) -> tuple:
+        """Store or discard every candidate of this round for the owned keys.
+
+        *incoming* holds the groups other partitions handed over.  Returns
+        the tag-sorted decision record ``(parents, plans, stored, folded,
+        goal_tag, sup_best)``.
+        """
+        groups = list(incoming)
         groups.extend(self.local_groups)
         self.local_groups = []
 
@@ -433,10 +388,9 @@ class _ShardWorker:
         )
         stored = np.zeros(total, dtype=bool)
 
-        # per-key preparation mirroring Explorer._expand_block: coverage on
-        # the raw rows against the pre-round federation, then a two-stage
-        # within-level screen (the block engine's sequential pending
-        # discipline, vectorised):
+        # per-key preparation: coverage on the raw rows against the pre-round
+        # federation, then a two-stage within-round screen (the scalar
+        # store-then-recheck discipline, vectorised):
         #
         # 1. raw-vs-raw -- a candidate included in an EARLIER raw candidate
         #    is doomed before paying for extrapolation (extrapolation and
@@ -445,7 +399,7 @@ class _ShardWorker:
         # 2. extrapolated-vs-extrapolated among the survivors
         #    (Z <= W  <=>  Extra(Z) <= W for stored W).
         #
-        # Both stages kill exactly the candidates the scalar engine's
+        # Both stages kill exactly the candidates the scalar loop's
         # store-then-recheck would: by transitivity of inclusion, a
         # candidate covered by a killed earlier zone is also covered by
         # whatever stored zone killed that one.
@@ -480,18 +434,23 @@ class _ShardWorker:
                 total_layers += len(survivors)
             prepared.append((key, refs, decision, survivors, sub, offset))
 
-        # one shared stack for the whole round: the extrapolation grids are
-        # global, each layer's kernels are independent, and one big batch
-        # amortises the per-stack dispatch cost across every key
-        stack = None
+        # the survivors of every key in one array, extrapolated in pooled
+        # chunks: the grids are global and each layer's kernels independent,
+        # so batching across keys amortises the per-stack dispatch cost
+        # without round-sized kernel scratch
         flat_all = None
         if total_layers:
-            stack = DBMStack(total_layers, self.dim)
-            flat_all = stack.a.reshape(total_layers, -1)
+            flat_all = np.empty((total_layers, self.dim * self.dim), dtype=np.int64)
             for _key, _refs, _decision, survivors, sub, offset in prepared:
                 if survivors is not None and len(survivors):
                     flat_all[offset:offset + len(survivors)] = sub
-            self.generator.extrapolate_stack(stack)
+            for start in range(0, total_layers, _MAX_POOLED_ROWS):
+                chunk = flat_all[start:start + _MAX_POOLED_ROWS]
+                stack = DBMStack(len(chunk), self.dim)
+                stack.a.reshape(len(chunk), -1)[:] = chunk
+                self.generator.extrapolate_stack(stack)
+                chunk[:] = stack.a.reshape(len(chunk), -1)
+                stack.discard()
 
         contexts: list[_KeyContext] = []
         zone_context: list = [None] * total
@@ -533,20 +492,20 @@ class _ShardWorker:
         goal_tag = None
         for index in np.flatnonzero(stored).tolist():
             context = zone_context[index]
-            zone = stack.layer_dbm(int(zone_layer[index]))
+            zone = DBM(self.dim, raw=flat_all[zone_layer[index]])
             context.pending.append(zone)
-            tag = (int(parents[index]), int(plans[index]))
             state = SymbolicState(
                 context.locations, context.variables, zone, context.key
             )
-            self.unassigned.append((tag, context.key, state))
+            self.unassigned.append((context.key, state))
             if spec.kind == "goal":
                 if goal_tag is None and spec.predicate(state):
-                    goal_tag = tag
+                    goal_tag = (int(parents[index]), int(plans[index]))
             elif spec.kind == "sup":
                 if spec.condition is None or spec.condition.possibly(state):
                     raw_bound = zone.upper_bound(spec.clock_id)
                     if self.sup_best is None or raw_bound > self.sup_best[0]:
+                        tag = (int(parents[index]), int(plans[index]))
                         self.sup_best = (raw_bound, tag)
 
         for context in contexts:
@@ -556,13 +515,11 @@ class _ShardWorker:
                     federation = Federation(self.dim)
                     self.passed[context.key] = federation
                 federation.add_many_uncovered(context.pending)
-        if stack is not None:
-            stack.discard()
-        _send(self.write_fd, ("decided", parents, plans, stored, folded_mask,
-                              goal_tag, self.sup_best))
+        return parents, plans, stored, folded_mask, goal_tag, self.sup_best
 
     # -------------------------------------------------------------- stealing
-    def _ship(self, seqs, assigned) -> None:
+    def ship(self, seqs, assigned) -> list:
+        """Hand frontier states *seqs* to another partition (as raw rows)."""
         # a ship can ask for seqs assigned at the end of the previous round,
         # which normally travel with the next expand -- so the coordinator
         # delivers them here instead (and sends the expand an empty list)
@@ -570,14 +527,102 @@ class _ShardWorker:
         shipped = []
         for seq in seqs:
             key, state = self.frontier.pop(seq)
-            # the zone stays in this shard's federation (coverage needs it);
-            # the thief gets a copy of the extrapolated matrix
+            # the zone stays in this partition's federation (coverage needs
+            # it); the thief gets a copy of the extrapolated matrix
             shipped.append((seq, key, state.zone.m.copy()))
-        _send(self.write_fd, ("shipped", shipped))
+        return shipped
+
+
+# ------------------------------------------------------------------ transports
+class _LocalFleet:
+    """The in-process transport: one partition owning every key."""
+
+    workers = 1
+
+    def __init__(self, partition: _Partition):
+        self.partition = partition
+
+    def expand(self, upto, assignments, stolen) -> list:
+        return [self.partition.expand(upto, assignments[0])]
+
+    def decide(self, incoming) -> list:
+        return [self.partition.decide([group for _src, group in incoming[0]])]
+
+
+class _ShardWorker:
+    """The forked side of one partition: the round protocol over a pipe pair.
+
+    Hand-off rows travel through the shared zone pool; everything else is
+    the partition's own work.
+    """
+
+    def __init__(self, partition, read_fd, write_fd, pool, attempt):
+        self.partition = partition
+        self.read_fd = read_fd
+        self.write_fd = write_fd
+        self.pool = pool
+        self.attempt = attempt
+        self._injected = False
+
+    def run(self) -> None:
+        partition = self.partition
+        try:
+            while True:
+                message = _recv(self.read_fd)
+                tag = message[0]
+                if tag == "expand":
+                    reply = ("expanded", *self._expand(*message[1:]))
+                elif tag == "decide":
+                    groups = [self._resolve(src, group) for src, group in message[1]]
+                    reply = ("decided", *partition.decide(groups))
+                elif tag == "ship":
+                    reply = ("shipped", partition.ship(message[1], message[2]))
+                else:  # pragma: no cover - protocol bug
+                    raise AnalysisError(f"unknown shard message {tag!r}")
+                _send(self.write_fd, reply)
+        except _ShardCrash:
+            # the coordinator closed the pipes: normal shutdown
+            os._exit(0)
+        except BaseException as exc:  # noqa: BLE001 - must cross the pipe
+            try:
+                try:
+                    pickle.dumps(exc)
+                except Exception:
+                    exc = AnalysisError(
+                        f"shard worker {partition.rank} failed: {exc!r}"
+                    )
+                _send(self.write_fd, ("fatal", exc))
+            except _ShardCrash:
+                pass
+            os._exit(1)
+
+    def _expand(self, upto, assigned, stolen) -> tuple:
+        rank = self.partition.rank
+        if not self._injected:
+            self._injected = True
+            from repro.sweep.faults import maybe_inject
+
+            maybe_inject(f"shard/{rank}", rank, self.attempt, stage="shard")
+        outgoing, error, handoffs = self.partition.expand(upto, assigned, stolen)
+        offset = 0
+        for groups in outgoing.values():
+            for index, (key, plan_index, folded, parent_seqs, rows) in enumerate(groups):
+                if self.pool.write(rank, offset, rows):
+                    ref = ("shm", offset, len(rows))
+                    offset += len(rows)
+                else:
+                    ref = ("inline", rows)
+                groups[index] = (key, plan_index, folded, parent_seqs, ref)
+        return outgoing, error, handoffs
+
+    def _resolve(self, src, group) -> tuple:
+        key, plan_index, folded, parent_seqs, ref = group
+        rows = self.pool.read(src, ref[1], ref[2]) if ref[0] == "shm" else ref[1]
+        return key, plan_index, folded, parent_seqs, rows
 
 
 class _Handle:
-    """Coordinator-side record of one forked shard."""
+    """Coordinator-side record of one forked worker."""
 
     __slots__ = ("rank", "pid", "read_fd", "write_fd")
 
@@ -588,198 +633,57 @@ class _Handle:
         self.write_fd = write_fd
 
 
-class ShardedExplorer(Explorer):
-    """The :class:`Explorer` facade over the sharded round protocol.
+class _ForkedFleet:
+    """The forked transport: one supervised worker process per partition."""
 
-    Entry points (``sup``, ``check``, ``count_states``) behave exactly like
-    the scalar engine's: the overridden :meth:`explore` runs the distributed
-    search and then calls the entry point's visit callback once, on the
-    replayed goal (or supremum) state, so verdicts, traces and results flow
-    through the unmodified scalar post-processing.  Callers that pass a raw
-    ``visit`` callable (``reachable_discrete_states``) fall back to the
-    scalar engine transparently, as does any configuration sharding cannot
-    honour (non-bfs order, no inclusion checking, fewer than two workers, no
-    ``os.fork``).
-    """
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.handles: list[_Handle] = []
+        self.pool: SharedZonePool | None = None
 
-    def __init__(
-        self,
-        network: CompiledNetwork,
-        semantics: SemanticsOptions | None = None,
-        search: SearchOptions | None = None,
-    ):
-        super().__init__(network, semantics, search)
-        #: whole-exploration restarts after a worker crash (supervision
-        #: metadata, deliberately not part of ExplorationStatistics)
-        self.restarts = 0
-        self._shard_query = None
-        # the ample-set proviso reads the passed list mid-expansion; under
-        # the level-synchronous protocol that read would see a stale shard-
-        # local prefix, so the reduction stays off (docs/performance.md)
-        self._por = False
-
-    # ------------------------------------------------------------ entry points
-    def _check_ef(self, query):
-        self._shard_query = ("ef", query)
-        try:
-            return super()._check_ef(query)
-        finally:
-            self._shard_query = None
-
-    def _check_ag(self, query):
-        self._shard_query = ("ag", query)
-        try:
-            return super()._check_ag(query)
-        finally:
-            self._shard_query = None
-
-    def sup(self, query):
-        self._shard_query = ("sup", query)
-        try:
-            return super().sup(query)
-        finally:
-            self._shard_query = None
-
-    # ------------------------------------------------------------ dispatch
-    def _build_spec(self, visit) -> _EvalSpec | None:
-        search = self.search
-        if (
-            search.shard_workers < 2
-            or search.order != "bfs"
-            or not search.inclusion_checking
-            or not hasattr(os, "fork")
-        ):
-            return None
-        if self._shard_query is None:
-            # a raw visit callback cannot cross the fork; pure exploration can
-            return None if visit is not None else _EvalSpec("count")
-        kind, query = self._shard_query
-        if kind == "ef":
-            return _EvalSpec(
-                "goal", BoundFormula(query.formula, self.network).possibly
-            )
-        if kind == "ag":
-            return _EvalSpec(
-                "goal",
-                BoundFormula(query.formula.negate(), self.network).possibly,
-            )
-        clock_id = self.network.clock_id(query.clock)
-        condition = (
-            BoundFormula(query.condition, self.network)
-            if query.condition is not None
-            else None
-        )
-        return _EvalSpec("sup", None, clock_id, condition)
-
-    def explore(self, visit=None) -> ExplorationStatistics:
-        spec = self._build_spec(visit)
-        if spec is None:
-            return super().explore(visit)
-        last_crash = None
-        for attempt in (1, 2):
-            try:
-                return self._explore_sharded(spec, visit, attempt)
-            except _ShardFatal as fatal:
-                raise fatal.error.with_traceback(None) from None
-            except _ShardCrash as crash:
-                self.restarts += 1
-                last_crash = crash
-        raise AnalysisError(
-            f"sharded exploration crashed twice ({last_crash}); "
-            "the worker fleet could not be supervised back to health"
-        )
-
-    # ------------------------------------------------------------ coordinator
-    def _explore_sharded(self, spec, visit, attempt) -> ExplorationStatistics:
-        options = self.search
-        workers = options.shard_workers
-        record_traces = options.record_traces
-        stats = ExplorationStatistics(search_order="bfs")
-        stats.shard_workers = workers
-        stats.start_timer()
-
-        initial = self._canonical(self.generator.initial_state(), stats)
-        self.generator.extrapolate(initial.zone)
-        root_key = initial.discrete_bytes()
-        stats.states_stored = 1
-        stats.peak_waiting = 1
-
-        if spec.kind == "goal" and spec.predicate(initial):
-            if visit is not None:
-                visit(initial, _SearchNode(initial, None, None))
-            stats.termination = "goal"
-            stats.stop_timer()
-            return stats
-        root_sup = None
-        if spec.kind == "sup" and (
-            spec.condition is None or spec.condition.possibly(initial)
-        ):
-            root_sup = initial.zone.upper_bound(spec.clock_id)
-
-        deadline = (
-            time.perf_counter() + options.max_seconds
-            if options.max_seconds is not None
-            else None
-        )
-        if options.deadline is not None:
-            deadline = (
-                options.deadline if deadline is None
-                else min(deadline, options.deadline)
-            )
-        max_states = options.max_states
-
+    def start(self, explorer, spec, initial, root_key, attempt) -> None:
         # warm the fault-injection module before forking so every worker
         # inherits it instead of re-importing on its first expand (imported
         # lazily here: repro.sweep pulls in the analysis layer, which would
         # be a circular import at module scope)
         from repro.sweep.faults import maybe_inject  # noqa: F401
 
-        pool = None
-        handles: list[_Handle] = []
-        try:
-            pool = SharedZonePool(workers, self.network.dim, rows=_OUTBOX_ROWS)
-            for rank in range(workers):
-                child_read, parent_write = os.pipe()
-                parent_read, child_write = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    os.close(parent_write)
-                    os.close(parent_read)
-                    # drop the parent ends of earlier siblings so a crashed
-                    # worker's pipe EOFs in the coordinator immediately
-                    for handle in handles:
-                        os.close(handle.read_fd)
-                        os.close(handle.write_fd)
-                    _ShardWorker(
-                        rank, workers, child_read, child_write, self, spec,
-                        pool, initial, root_key, attempt,
-                    ).run()
-                    os._exit(0)  # pragma: no cover - run() never returns
-                os.close(child_read)
-                os.close(child_write)
-                handles.append(_Handle(rank, pid, parent_read, parent_write))
+        self.pool = SharedZonePool(self.workers, explorer.network.dim, rows=_OUTBOX_ROWS)
+        for rank in range(self.workers):
+            child_read, parent_write = os.pipe()
+            parent_read, child_write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(parent_write)
+                os.close(parent_read)
+                # drop the parent ends of earlier siblings so a crashed
+                # worker's pipe EOFs in the coordinator immediately
+                for handle in self.handles:
+                    os.close(handle.read_fd)
+                    os.close(handle.write_fd)
+                partition = _Partition(rank, self.workers, explorer, spec,
+                                       initial, root_key)
+                _ShardWorker(partition, child_read, child_write, self.pool,
+                             attempt).run()
+                os._exit(0)  # pragma: no cover - run() never returns
+            os.close(child_read)
+            os.close(child_write)
+            self.handles.append(_Handle(rank, pid, parent_read, parent_write))
 
-            return self._coordinate(
-                spec, visit, stats, handles, initial, root_key, root_sup,
-                deadline, max_states, record_traces,
-            )
-        finally:
-            for handle in handles:
-                for fd in (handle.write_fd, handle.read_fd):
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
-                try:
-                    os.kill(handle.pid, signal.SIGKILL)
-                except OSError:
-                    pass
-                try:
-                    os.waitpid(handle.pid, 0)
-                except OSError:
-                    pass
-            if pool is not None:
-                pool.close()
+    def expand(self, upto, assignments, stolen) -> list:
+        for handle in self.handles:
+            _send(handle.write_fd, ("expand", upto, assignments[handle.rank],
+                                    stolen[handle.rank]))
+        return [self._reply(handle, "expanded")[1:] for handle in self.handles]
+
+    def decide(self, incoming) -> list:
+        for handle in self.handles:
+            _send(handle.write_fd, ("decide", incoming[handle.rank]))
+        return [self._reply(handle, "decided")[1:] for handle in self.handles]
+
+    def ship(self, rank, seqs, assigned) -> list:
+        _send(self.handles[rank].write_fd, ("ship", seqs, assigned))
+        return self._reply(self.handles[rank], "shipped")[1]
 
     def _reply(self, handle: _Handle, expected: str) -> tuple:
         message = _recv(handle.read_fd)
@@ -792,254 +696,343 @@ class ShardedExplorer(Explorer):
             )
         return message
 
-    def _coordinate(
-        self, spec, visit, stats, handles, initial, root_key, root_sup,
-        deadline, max_states, record_traces,
-    ) -> ExplorationStatistics:
-        workers = len(handles)
-        #: seq -> (parent_seq, plan_index); seq 0 is the root
-        tag_of_seq: list[tuple[int, int] | None] = [None]
-        pending: list[list[int]] = [[] for _ in range(workers)]
-        pending[_owner_of(root_key, workers)].append(0)
-        next_seq = 1
-        expanded = 0
-        transitions = inclusions = folds = 0
-        goal_tag = None
-        worker_sup: list[tuple | None] = [None] * workers
-        #: sequence numbers assigned at the end of the previous round, to be
-        #: delivered with the next expand (aligned to each worker's
-        #: tag-sorted unassigned list)
-        assignments: list[list[int]] = [[] for _ in range(workers)]
+    def close(self) -> None:
+        for handle in self.handles:
+            for fd in (handle.write_fd, handle.read_fd):
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
+            try:
+                os.kill(handle.pid, signal.SIGKILL)
+            except OSError:
+                pass
+            try:
+                os.waitpid(handle.pid, 0)
+            except OSError:
+                pass
+        self.handles = []
+        if self.pool is not None:
+            self.pool.close()
+            self.pool = None
 
-        while True:
-            if next_seq == expanded:
-                break  # frontier empty: "exhausted" (the default)
-            if max_states is not None and expanded >= max_states:
-                stats.termination = "state-budget"
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                stats.termination = "time-budget"
-                break
-            upto = next_seq if max_states is None else min(next_seq, max_states)
 
-            # deterministic count-based work stealing: the coordinator knows
-            # every shard's frontier, so victim, thief and the shipped seqs
-            # are pure functions of the (deterministic) assignment history
-            stolen: list[list] = [[] for _ in range(workers)]
-            if workers > 1:
-                counts = [
-                    sum(1 for seq in queue if seq < upto) for queue in pending
-                ]
-                rich = max(range(workers), key=counts.__getitem__)
-                poor = min(range(workers), key=counts.__getitem__)
-                surplus = counts[rich] - counts[poor]
-                if surplus > _STEAL_THRESHOLD:
-                    share = surplus // 2
-                    shipped_seqs = sorted(
-                        seq for seq in pending[rich] if seq < upto
-                    )[-share:]
-                    if shipped_seqs:
-                        # the ship also delivers the victim's outstanding
-                        # sequence assignments (a shipped seq may have been
-                        # assigned only at the end of the previous round, in
-                        # which case it is not in the victim's frontier yet)
-                        _send(handles[rich].write_fd,
-                              ("ship", shipped_seqs, assignments[rich]))
-                        assignments[rich] = []
-                        reply = self._reply(handles[rich], "shipped")
-                        stolen[poor] = reply[1]
-                        moved = set(shipped_seqs)
-                        pending[rich] = [
-                            seq for seq in pending[rich] if seq not in moved
-                        ]
-                        pending[poor].extend(shipped_seqs)
-                        stats.shard_steals += len(shipped_seqs)
+# ------------------------------------------------------------------ coordinator
+def explore_layered(explorer: Explorer, spec, visit, workers: int = 1,
+                    attempt: int = 1) -> ExplorationStatistics:
+    """One layered exploration of *explorer*'s network over *workers* partitions.
 
-            for handle in handles:
-                _send(
-                    handle.write_fd,
-                    ("expand", upto, assignments[handle.rank],
-                     stolen[handle.rank]),
-                )
-            expanded_replies = [
-                self._reply(handle, "expanded") for handle in handles
+    One partition runs in-process; more fork one worker process each.
+    *visit* (the query entry point's callback) is called once, on the goal
+    or supremum state, exactly as the scalar loop would have last called it
+    with a decisive state.
+    """
+    options = explorer.search
+    stats = ExplorationStatistics(search_order="bfs")
+    if workers > 1:
+        stats.shard_workers = workers
+    stats.start_timer()
+
+    initial = explorer._canonical(explorer.generator.initial_state(), stats)
+    explorer.generator.extrapolate(initial.zone)
+    root_key = initial.discrete_bytes()
+    stats.states_stored = 1
+    stats.peak_waiting = 1
+
+    if spec.kind == "goal" and spec.predicate(initial):
+        if visit is not None:
+            visit(initial, _SearchNode(initial, None, None))
+        stats.termination = "goal"
+        stats.stop_timer()
+        return stats
+    root_sup = None
+    if spec.kind == "sup" and (
+        spec.condition is None or spec.condition.possibly(initial)
+    ):
+        root_sup = initial.zone.upper_bound(spec.clock_id)
+
+    deadline = explorer._deadline()
+    if workers == 1:
+        fleet = _LocalFleet(_Partition(0, 1, explorer, spec, initial, root_key))
+        return _coordinate(explorer, spec, visit, stats, fleet, initial,
+                           root_key, root_sup, deadline)
+    fleet = _ForkedFleet(workers)
+    try:
+        fleet.start(explorer, spec, initial, root_key, attempt)
+        return _coordinate(explorer, spec, visit, stats, fleet, initial,
+                           root_key, root_sup, deadline)
+    finally:
+        fleet.close()
+
+
+def _coordinate(explorer, spec, visit, stats, fleet, initial, root_key,
+                root_sup, deadline) -> ExplorationStatistics:
+    max_states = explorer.search.max_states
+    record_traces = explorer.search.record_traces
+    workers = fleet.workers
+    #: seq -> the (parent_seq, plan_index) tag it was stored under; seq 0
+    #: is the root
+    parent_of, plan_of = array("q", [-1]), array("q", [-1])
+    #: per partition, the frontier seqs not yet expanded (stealing only)
+    pending: list[list[int]] = [[] for _ in range(workers)]
+    pending[_owner_of(root_key, workers)].append(0)
+    next_seq = 1
+    expanded = 0
+    transitions = inclusions = folds = 0
+    goal_tag = None
+    partition_sup: list[tuple | None] = [None] * workers
+    #: sequence numbers assigned at the end of the previous round, to be
+    #: delivered with the next expand (aligned to each partition's
+    #: tag-sorted unassigned list)
+    assignments: list[list[int]] = [[] for _ in range(workers)]
+
+    while True:
+        if next_seq == expanded:
+            break  # frontier empty: "exhausted" (the default)
+        if max_states is not None and expanded >= max_states:
+            stats.termination = "state-budget"
+            break
+        if deadline is not None and time.perf_counter() > deadline:
+            stats.termination = "time-budget"
+            break
+        upto = next_seq if max_states is None else min(next_seq, max_states)
+        if deadline is not None:
+            upto = min(upto, expanded + _DEADLINE_ROUND)
+
+        # deterministic count-based work stealing: the coordinator knows
+        # every partition's frontier, so victim, thief and the shipped seqs
+        # are pure functions of the (deterministic) assignment history
+        stolen: list[list] = [[] for _ in range(workers)]
+        if workers > 1:
+            counts = [
+                sum(1 for seq in queue if seq < upto) for queue in pending
             ]
-            error = None
-            for _tag, outgoing, worker_error, handoffs in expanded_replies:
-                stats.shard_handoffs += handoffs
-                if worker_error is not None and (
-                    error is None or worker_error[0] < error[0]
-                ):
-                    error = worker_error
-            for handle in handles:
-                incoming = []
-                for src, reply in enumerate(expanded_replies):
-                    incoming.extend(
-                        (src, *group)
-                        for group in reply[1].get(handle.rank, ())
-                    )
-                _send(handle.write_fd, ("decide", incoming))
-            decided = [self._reply(handle, "decided") for handle in handles]
+            rich = max(range(workers), key=counts.__getitem__)
+            poor = min(range(workers), key=counts.__getitem__)
+            surplus = counts[rich] - counts[poor]
+            if surplus > _STEAL_THRESHOLD:
+                share = surplus // 2
+                shipped_seqs = sorted(
+                    seq for seq in pending[rich] if seq < upto
+                )[-share:]
+                if shipped_seqs:
+                    # the ship also delivers the victim's outstanding
+                    # sequence assignments (a shipped seq may have been
+                    # assigned only at the end of the previous round, in
+                    # which case it is not in the victim's frontier yet)
+                    stolen[poor] = fleet.ship(rich, shipped_seqs,
+                                              assignments[rich])
+                    assignments[rich] = []
+                    moved = set(shipped_seqs)
+                    pending[rich] = [
+                        seq for seq in pending[rich] if seq not in moved
+                    ]
+                    pending[poor].extend(shipped_seqs)
+                    stats.shard_steals += len(shipped_seqs)
 
-            parents = np.concatenate([reply[1] for reply in decided])
-            plans = np.concatenate([reply[2] for reply in decided])
-            stored = np.concatenate([reply[3] for reply in decided])
-            folded = np.concatenate([reply[4] for reply in decided])
-            owner = np.concatenate([
-                np.full(len(reply[1]), rank, dtype=np.intp)
-                for rank, reply in enumerate(decided)
-            ])
-            for rank, reply in enumerate(decided):
-                if reply[5] is not None and (
-                    goal_tag is None or reply[5] < goal_tag
-                ):
-                    goal_tag = reply[5]
-                if reply[6] is not None:
-                    worker_sup[rank] = reply[6]
-
-            if error is not None and (
-                goal_tag is None or error[0] <= goal_tag[0]
+        error = None
+        incoming: list[list] = [[] for _ in range(workers)]
+        for src, (outgoing, worker_error, handoffs) in enumerate(
+            fleet.expand(upto, assignments, stolen)
+        ):
+            stats.shard_handoffs += handoffs
+            if worker_error is not None and (
+                error is None or worker_error[0] < error[0]
             ):
-                # the scalar engine raises while generating the successors of
-                # seq error[0]; nothing after that expansion exists there
-                raise error[1]
+                error = worker_error
+            for dest, groups in outgoing.items():
+                incoming[dest].extend((src, group) for group in groups)
+        decided = fleet.decide(incoming)
 
+        parents = np.concatenate([reply[0] for reply in decided])
+        plans = np.concatenate([reply[1] for reply in decided])
+        stored = np.concatenate([reply[2] for reply in decided])
+        folded = np.concatenate([reply[3] for reply in decided])
+        owner = np.concatenate([
+            np.full(len(reply[0]), rank, dtype=np.intp)
+            for rank, reply in enumerate(decided)
+        ])
+        for rank, reply in enumerate(decided):
+            if reply[4] is not None and (goal_tag is None or reply[4] < goal_tag):
+                goal_tag = reply[4]
+            if reply[5] is not None:
+                partition_sup[rank] = reply[5]
+
+        if error is not None and (
+            goal_tag is None or error[0] <= goal_tag[0]
+        ):
+            # the scalar loop raises while generating the successors of seq
+            # error[0]; nothing after that expansion exists there
+            raise error[1]
+
+        if workers > 1:
             order = np.lexsort((plans, parents))
             parents, plans = parents[order], plans[order]
             stored, folded, owner = stored[order], folded[order], owner[order]
-            if goal_tag is not None:
-                goal_parent, goal_plan = goal_tag
-                keep = (parents < goal_parent) | (
-                    (parents == goal_parent) & (plans <= goal_plan)
-                )
-                parents, plans = parents[keep], plans[keep]
-                stored, folded, owner = stored[keep], folded[keep], owner[keep]
-            transitions += int(parents.size)
-            inclusions += int(parents.size - stored.sum())
-            folds += int(folded.sum())
+        if goal_tag is not None:
+            goal_parent, goal_plan = goal_tag
+            keep = (parents < goal_parent) | (
+                (parents == goal_parent) & (plans <= goal_plan)
+            )
+            parents, plans = parents[keep], plans[keep]
+            stored, folded, owner = stored[keep], folded[keep], owner[keep]
+        transitions += int(parents.size)
+        inclusions += int(parents.size - stored.sum())
+        folds += int(folded.sum())
 
-            assign_mask = stored
-            if goal_tag is not None:
-                # the goal state is stored but never enters the waiting list
-                assign_mask = stored & ~(
-                    (parents == goal_tag[0]) & (plans == goal_tag[1])
-                )
-            assignments = [[] for _ in range(workers)]
-            for index in np.flatnonzero(assign_mask):
-                tag_of_seq.append((int(parents[index]), int(plans[index])))
-                rank = int(owner[index])
-                assignments[rank].append(next_seq)
-                pending[rank].append(next_seq)
-                next_seq += 1
+        assign_mask = stored
+        if goal_tag is not None:
+            # the goal state is stored but never enters the waiting list
+            assign_mask = stored & ~(
+                (parents == goal_tag[0]) & (plans == goal_tag[1])
+            )
+        new = np.flatnonzero(assign_mask)
+        parent_of.frombytes(parents[new].tobytes())
+        plan_of.frombytes(plans[new].tobytes())
+        seqs = np.arange(next_seq, next_seq + len(new))
+        assignments = [seqs[owner[new] == rank].tolist() for rank in range(workers)]
+        next_seq += len(new)
 
-            expanded = upto
+        expanded = upto
+        if workers > 1:
             for rank in range(workers):
-                pending[rank] = [
-                    seq for seq in pending[rank] if seq >= upto
-                ]
-            if goal_tag is not None:
-                stats.termination = "goal"
-                break
+                pending[rank] = [seq for seq in pending[rank] if seq >= upto]
+                pending[rank].extend(assignments[rank])
+        if goal_tag is not None:
+            stats.termination = "goal"
+            break
 
-        # ---------------------------------------------------------- assembly
-        stats.states_explored = (
-            goal_tag[0] + 1 if goal_tag is not None else expanded
+    # ---------------------------------------------------------- assembly
+    stats.states_explored = (
+        goal_tag[0] + 1 if goal_tag is not None else expanded
+    )
+    stats.states_stored = len(parent_of) + (1 if goal_tag is not None else 0)
+    stats.transitions = transitions
+    stats.inclusions = inclusions
+    stats.states_subsumed_lu = inclusions if explorer._lu_active else 0
+    stats.keys_folded += folds
+    stats.peak_waiting = _replay_peak(parent_of, stats.states_explored)
+
+    if goal_tag is not None and visit is not None:
+        chain = _plan_chain(parent_of, plan_of, goal_tag[0]) + [goal_tag[1]]
+        visit(*_replay_chain(explorer, initial, chain, record_traces))
+    if spec.kind == "sup" and visit is not None:
+        best = None  # (raw, tag or None-for-root)
+        if root_sup is not None:
+            best = (root_sup, None)
+        for candidate in partition_sup:
+            if candidate is None:
+                continue
+            raw, tag = candidate
+            if (
+                best is None
+                or raw > best[0]
+                or (raw == best[0] and best[1] is not None and tag < best[1])
+            ):
+                best = (raw, tag)
+        if best is not None:
+            if best[1] is None:
+                visit(initial, _SearchNode(initial, None, None))
+            else:
+                chain = _plan_chain(parent_of, plan_of, best[1][0]) + [best[1][1]]
+                visit(*_replay_chain(explorer, initial, chain, record_traces))
+    stats.stop_timer()
+    return stats
+
+
+def _replay_chain(explorer, initial, plan_chain, record_traces):
+    """Re-fire *plan_chain* from the root through the scalar pipeline.
+
+    Bit-identical to the partitions' batched generation (the batched
+    kernels are layer-exact), so the materialised states match the stored
+    zones exactly -- this is how goal witnesses and supremum traces are
+    reconstructed without keeping any zone rows per sequence number.
+    Returns the final ``(state, node)``.
+    """
+    scratch = ExplorationStatistics()  # replay folds were already counted
+    state = initial
+    node = _SearchNode(initial, None, None)
+    for plan_index in plan_chain:
+        fired = explorer.generator.successors(
+            state, with_labels=record_traces, extrapolate=False,
+            plan_indices=(int(plan_index),),
         )
-        stats.states_stored = len(tag_of_seq) + (1 if goal_tag is not None else 0)
-        stats.transitions = transitions
-        stats.inclusions = inclusions
-        stats.states_subsumed_lu = inclusions if self._lu_active else 0
-        stats.keys_folded += folds
-        stats.peak_waiting = _replay_peak(tag_of_seq, stats.states_explored)
-
-        if goal_tag is not None and visit is not None:
-            chain = _plan_chain(tag_of_seq, goal_tag[0]) + [goal_tag[1]]
-            state, node = self._replay_chain(initial, chain, record_traces)
-            visit(state, node)
-        if spec.kind == "sup" and visit is not None:
-            best = None  # (raw, tag or None-for-root)
-            if root_sup is not None:
-                best = (root_sup, None)
-            for candidate in worker_sup:
-                if candidate is None:
-                    continue
-                raw, tag = candidate
-                if (
-                    best is None
-                    or raw > best[0]
-                    or (raw == best[0] and best[1] is not None
-                        and tag < best[1])
-                ):
-                    best = (raw, tag)
-            if best is not None:
-                if best[1] is None:
-                    state, node = initial, _SearchNode(initial, None, None)
-                else:
-                    chain = _plan_chain(tag_of_seq, best[1][0]) + [best[1][1]]
-                    state, node = self._replay_chain(
-                        initial, chain, record_traces
-                    )
-                visit(state, node)
-        stats.stop_timer()
-        return stats
-
-    def _replay_chain(self, initial, plan_chain, record_traces):
-        """Re-fire *plan_chain* from the root through the scalar pipeline.
-
-        Bit-identical to the worker-side generation (the batched kernels are
-        layer-exact), so the materialised states match the shards' stored
-        zones exactly -- this is how goal witnesses and supremum traces are
-        reconstructed without keeping any zone rows per sequence number.
-        """
-        scratch = ExplorationStatistics()  # replay folds were already counted
-        state = initial
-        node = _SearchNode(initial, None, None)
-        for plan_index in plan_chain:
-            fired = self.generator.successors(
-                state, with_labels=record_traces, extrapolate=False,
-                plan_indices=(int(plan_index),),
-            )
-            label, child = fired[0]
-            child = self._canonical(child, scratch)
-            self.generator.extrapolate(child.zone)
-            node = _SearchNode(
-                child, node if record_traces else _UNRECORDED, label
-            )
-            state = child
-        return state, node
+        label, child = fired[0]
+        child = explorer._canonical(child, scratch)
+        explorer.generator.extrapolate(child.zone)
+        node = _SearchNode(
+            child, node if record_traces else _UNRECORDED, label
+        )
+        state = child
+    return state, node
 
 
-def _plan_chain(tag_of_seq, seq) -> list[int]:
+def _plan_chain(parent_of, plan_of, seq) -> list[int]:
     """Plan indices firing the root-to-*seq* chain, in firing order."""
     plan_chain: list[int] = []
     while seq != 0:
-        parent_seq, plan_index = tag_of_seq[seq]
-        plan_chain.append(plan_index)
-        seq = parent_seq
+        plan_chain.append(plan_of[seq])
+        seq = parent_of[seq]
     plan_chain.reverse()
     return plan_chain
 
 
-def _replay_peak(tag_of_seq, n_expanded) -> int:
-    """Scalar ``peak_waiting`` from the stored-child tags.
+def _replay_peak(parent_of, n_expanded) -> int:
+    """Scalar ``peak_waiting`` from the parents of the stored states.
 
-    Replays the FIFO length evolution: each expansion pops one state and
-    appends its stored children (the goal child, which never enters the
-    waiting list, is deliberately absent from ``tag_of_seq``).
+    Replays the FIFO length evolution: expanding seq ``s`` pops one state
+    and appends its stored children, so the length after it is ``1 +
+    sum(children[t] - 1 for t <= s)`` (the goal child, which never enters
+    the waiting list, is deliberately absent from *parent_of*).
     """
-    children: dict[int, int] = {}
-    for seq in range(1, len(tag_of_seq)):
-        parent_seq = tag_of_seq[seq][0]
-        children[parent_seq] = children.get(parent_seq, 0) + 1
-    length = peak = 1
-    for seq in range(n_expanded):
-        length -= 1
-        count = children.get(seq, 0)
-        if count:
-            length += count
-            if length > peak:
-                peak = length
-    return peak
+    if not n_expanded:
+        return 1
+    parents = np.frombuffer(parent_of, dtype=np.int64)[1:]
+    children = np.bincount(parents, minlength=n_expanded)[:n_expanded]
+    return max(1, 1 + int(np.cumsum(children - 1).max()))
+
+
+# ------------------------------------------------------------------ facade
+class ShardedExplorer(Explorer):
+    """The :class:`Explorer` whose layered core forks into partitions.
+
+    With ``SearchOptions.shard_workers >= 2`` every layered exploration runs
+    on that many forked worker processes, supervised: a crashed worker
+    restarts the whole exploration once (:attr:`restarts` counts it).  What
+    the layered core does not run (non-bfs orders, no inclusion checking,
+    raw ``visit`` callables), fewer than two workers, and platforms without
+    ``os.fork`` run exactly as on :class:`Explorer`.
+    """
+
+    def __init__(
+        self,
+        network: CompiledNetwork,
+        semantics: SemanticsOptions | None = None,
+        search: SearchOptions | None = None,
+    ):
+        super().__init__(network, semantics, search)
+        #: whole-exploration restarts after a worker crash (supervision
+        #: metadata, deliberately not part of ExplorationStatistics)
+        self.restarts = 0
+
+    def explore(self, visit=None, spec=None) -> ExplorationStatistics:
+        layered = self._layered_spec(visit, spec)
+        workers = self.search.shard_workers
+        if layered is None or workers < 2 or not hasattr(os, "fork"):
+            return super().explore(visit, spec)
+        last_crash = None
+        for attempt in (1, 2):
+            try:
+                return explore_layered(self, layered, visit, workers, attempt)
+            except _ShardFatal as fatal:
+                raise fatal.error.with_traceback(None) from None
+            except _ShardCrash as crash:
+                self.restarts += 1
+                last_crash = crash
+        raise AnalysisError(
+            f"sharded exploration crashed twice ({last_crash}); "
+            "the worker fleet could not be supervised back to health"
+        )
 
 
 def select_explorer(
@@ -1047,13 +1040,9 @@ def select_explorer(
     semantics: SemanticsOptions | None = None,
     search: SearchOptions | None = None,
 ) -> Explorer:
-    """The right engine for *search*: sharded when it can honour the options.
-
-    Sharding requires at least two workers, breadth-first order, inclusion
-    checking and ``os.fork``; anything else gets the scalar/block engine.
-    (:class:`ShardedExplorer` additionally falls back per-call for entry
-    points it cannot distribute, so selecting it is always safe.)
-    """
+    """The right explorer for *search*: forked partitions when it asks for two
+    or more workers and can have them (bfs, inclusion checking, ``os.fork``),
+    the in-process :class:`Explorer` otherwise."""
     search = search or SearchOptions()
     if (
         search.shard_workers >= 2

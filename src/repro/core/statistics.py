@@ -29,18 +29,15 @@ class ExplorationStatistics:
     #: inclusion discards that happened while LU extrapolation was active
     #: (the coarser Extra_LU zones subsume states the max-bounds grid keeps)
     states_subsumed_lu: int = 0
-    #: firing plans skipped by the partial-order reduction (an ample
-    #: singleton was expanded instead of the full commuting interleaving)
-    plans_commuted: int = 0
     #: successor keys rewritten to a different canonical representative by
     #: the symmetry reduction
     keys_folded: int = 0
     #: maximum length reached by the waiting list
     peak_waiting: int = 0
-    #: worker processes the sharded engine ran with (0 = scalar/block engine);
-    #: the shard counters are topology observations, not exploration
-    #: semantics, so they are excluded from equality comparisons -- a sharded
-    #: run must compare equal to its scalar twin on everything else
+    #: forked partitions the layered core ran with (0 = in-process); the
+    #: shard counters are topology observations, not exploration semantics,
+    #: so they are excluded from equality comparisons -- a forked run must
+    #: compare equal to its in-process and scalar twins on everything else
     shard_workers: int = field(default=0, compare=False)
     #: successor candidates handed off to a different shard (the generating
     #: worker did not own the target discrete key)
@@ -86,7 +83,6 @@ class ExplorationStatistics:
         self.transitions += other.transitions
         self.inclusions += other.inclusions
         self.states_subsumed_lu += other.states_subsumed_lu
-        self.plans_commuted += other.plans_commuted
         self.keys_folded += other.keys_folded
         self.elapsed_seconds += other.elapsed_seconds
         self.peak_waiting = max(self.peak_waiting, other.peak_waiting)
@@ -98,7 +94,6 @@ class ExplorationStatistics:
         """The non-zero reduction counters (``docs/reductions.md``)."""
         counters = {
             "states_subsumed_lu": self.states_subsumed_lu,
-            "plans_commuted": self.plans_commuted,
             "keys_folded": self.keys_folded,
         }
         return {name: value for name, value in counters.items() if value}
@@ -107,8 +102,8 @@ class ExplorationStatistics:
         """The non-zero shard counters (``docs/performance.md``).
 
         Zeros are dropped for the same reason as the reduction counters:
-        scalar runs (and every trajectory point built from them) keep the
-        exact pre-sharding format.
+        in-process runs (and every trajectory point built from them) keep
+        the exact pre-sharding format.
         """
         counters = {
             "shard_workers": self.shard_workers,

@@ -194,8 +194,7 @@ class _DiscreteInfo:
     """
 
     __slots__ = ("urgent", "committed", "invariants", "upper_pairs",
-                 "upper_clocks", "upper_raws", "other_invariants", "plans", "labels",
-                 "ample")
+                 "upper_clocks", "upper_raws", "other_invariants", "plans", "labels")
 
     def __init__(self, urgent: bool, committed: frozenset[int],
                  invariants: tuple[tuple[int, int, int], ...]):
@@ -212,9 +211,6 @@ class _DiscreteInfo:
         self.other_invariants = tuple(t for t in invariants if t[1] != 0)
         self.plans: tuple[_Plan, ...] | None = None
         self.labels: list[TransitionLabel | None] | None = None
-        #: memoised ample-set decision: -2 not computed yet, -1 no singleton
-        #: ample plan exists, >= 0 the index of the ample plan
-        self.ample: int = -2
 
 
 class BlockFire:
@@ -254,13 +250,6 @@ class SuccessorGenerator:
         #: cached raw extrapolation grids, keyed by the network bounds version
         self._extra_version: int = -1
         self._extra_grids = None
-        #: query visibility sets for the partial-order reduction; ample-set
-        #: decisions are only made once these are declared (set_visibility)
-        self._visibility: tuple[frozenset[int], frozenset[int], frozenset[int]] | None = None
-        #: per-edge ample-candidate verdicts, keyed by (instance, edge index)
-        self._por_candidates: dict[tuple[int, int], bool] = {}
-        #: static per-instance read/write footprints (built lazily)
-        self._por_sets = None
 
     # ------------------------------------------------------------------ setup
     def _build_edge_tables(self) -> None:
@@ -551,182 +540,6 @@ class SuccessorGenerator:
             info.labels[index] = label
         return label
 
-    # ----------------------------------------------------- partial-order reduction
-    def set_visibility(
-        self,
-        instances: Iterable[int] = (),
-        variables: Iterable[int] = (),
-        clocks: Iterable[int] = (),
-    ) -> None:
-        """Declare the state components the reachability query observes.
-
-        The partial-order reduction only commutes plans that are invisible
-        to the query: an ample plan may not move a watched instance, write a
-        watched variable or reset a watched clock.  Until the exploring
-        engine declares what its query reads, :meth:`ample_plan` never
-        selects a plan.  Changing the visibility invalidates all memoised
-        ample decisions.
-        """
-        visibility = (frozenset(instances), frozenset(variables), frozenset(clocks))
-        if visibility != self._visibility:
-            self._visibility = visibility
-            self._por_candidates.clear()
-            for info in self._discrete.values():
-                info.ample = -2
-
-    def _por_other_sets(self, instance: int):
-        """Aggregate variable/clock footprints of every *other* instance."""
-        if self._por_sets is None:
-            net = self.network
-            var_index = net.variable_index
-            reads: list[set[int]] = []
-            writes: list[set[int]] = []
-            clock_refs: list[set[int]] = []
-            clock_resets: list[set[int]] = []
-            for inst in net.instances:
-                r: set[int] = set()
-                w: set[int] = set()
-                refs: set[int] = set()
-                resets: set[int] = set()
-                for location in inst.locations:
-                    for c in location.invariant:
-                        if c.i:
-                            refs.add(c.i)
-                        if c.j:
-                            refs.add(c.j)
-                        r |= {
-                            var_index[name]
-                            for name in c.source.rhs.variables()
-                            if name in var_index
-                        }
-                for edges in inst.outgoing:
-                    for edge in edges:
-                        r |= edge.reads
-                        w |= edge.writes
-                        for c in edge.clock_constraints:
-                            if c.i:
-                                refs.add(c.i)
-                            if c.j:
-                                refs.add(c.j)
-                        for clock, _value in edge.resets:
-                            resets.add(clock)
-                reads.append(r)
-                writes.append(w)
-                clock_refs.append(refs | resets)
-                clock_resets.append(resets)
-            n = len(net.instances)
-            self._por_sets = tuple(
-                (
-                    frozenset().union(*(reads[j] for j in range(n) if j != i)),
-                    frozenset().union(*(writes[j] for j in range(n) if j != i)),
-                    frozenset().union(*(clock_refs[j] for j in range(n) if j != i)),
-                    frozenset().union(*(clock_resets[j] for j in range(n) if j != i)),
-                )
-                for i in range(n)
-            )
-        return self._por_sets[instance]
-
-    def _ample_candidate(self, edge: CompiledEdge) -> bool:
-        """Static ample-candidacy of an internal edge (cached per edge)."""
-        key = (edge.instance, edge.edge_index)
-        cached = self._por_candidates.get(key)
-        if cached is None:
-            cached = self._compute_ample_candidate(edge)
-            self._por_candidates[key] = cached
-        return cached
-
-    def _compute_ample_candidate(self, edge: CompiledEdge) -> bool:
-        """Check the static singleton-ample conditions of *edge*.
-
-        The edge qualifies when its instance can do nothing but fire it and
-        the fire commutes with every action of every other instance
-        (``docs/reductions.md`` gives the full soundness argument):
-
-        * the source location is urgent or committed (time is frozen in
-          every state where the instance sits there, so postponed
-          interleavings never gain a delay step),
-        * it is the *only* outgoing edge of its source location (the
-          instance cannot move any other way while the edge is postponed),
-        * it is internal, has no clock guards, and its target is not
-          committed (firing it never tightens the committed-priority filter
-          for the other instances),
-        * it is invisible to the query (instance, written variables and
-          reset clocks all unwatched, and the target invariant constrains
-          no watched clock -- entering the target may clip the zone, which
-          must not change a watched clock's bounds), and
-        * it is statically independent of every other instance: its writes
-          touch no variable the others read or write, its reads (data
-          guard, updates, resets and the target invariant) touch no
-          variable the others write, its resets touch no clock the others
-          constrain or reset, and the target-invariant clocks are reset by
-          no other instance.
-        """
-        vis_instances, vis_vars, vis_clocks = self._visibility
-        net = self.network
-        instance = net.instances[edge.instance]
-        source = instance.locations[edge.source]
-        target = instance.locations[edge.target]
-        if not (source.urgent or source.committed):
-            return False
-        if len(instance.outgoing[edge.source]) != 1:
-            return False
-        if edge.channel is not None or edge.clock_constraints:
-            return False
-        if target.committed:
-            return False
-        if edge.instance in vis_instances:
-            return False
-        reset_clocks = frozenset(clock for clock, _value in edge.resets)
-        if (edge.writes & vis_vars) or (reset_clocks & vis_clocks):
-            return False
-        var_index = net.variable_index
-        read_vars = set(edge.reads)
-        read_clocks: set[int] = set()
-        for c in target.invariant:
-            if c.i:
-                read_clocks.add(c.i)
-            if c.j:
-                read_clocks.add(c.j)
-            read_vars |= {
-                var_index[name] for name in c.source.rhs.variables() if name in var_index
-            }
-        if read_clocks & vis_clocks:
-            return False
-        other_reads, other_writes, other_refs, other_resets = self._por_other_sets(edge.instance)
-        if edge.writes & (other_reads | other_writes):
-            return False
-        if read_vars & other_writes:
-            return False
-        if reset_clocks & other_refs:
-            return False
-        if read_clocks & other_resets:
-            return False
-        return True
-
-    def ample_plan(self, info: _DiscreteInfo) -> int | None:
-        """Index of a singleton ample plan of this discrete state, or None.
-
-        Requires the plan list to be built (:meth:`plan_info`).  The caller
-        must close the ignoring problem itself: when the ample successor is
-        already covered by the passed list (or its zone dies), the state has
-        to be fully expanded instead (``Explorer`` does this).  Memoised on
-        the discrete info -- the verdict is a pure function of the discrete
-        state and the declared visibility.
-        """
-        if info.plans is None or self._visibility is None:
-            return None
-        ample = info.ample
-        if ample == -2:
-            ample = -1
-            plans = info.plans
-            if len(plans) > 1 and all(plan.error is None for plan in plans):
-                for index, plan in enumerate(plans):
-                    if plan.kind == "internal" and self._ample_candidate(plan.participants[0]):
-                        ample = index
-                        break
-            info.ample = ample
-        return None if ample < 0 else ample
-
     def _finalize(
         self,
         locations: tuple[int, ...],
@@ -837,9 +650,8 @@ class SuccessorGenerator:
         With ``extrapolate=False`` the returned zones are *not* extrapolated
         yet -- the reachability engine uses this to extrapolate only the
         states that survive its inclusion check.  ``plan_indices`` restricts
-        firing to the given plan positions: the reachability engine expands
-        only an ample plan this way, and re-expands the remaining plans when
-        the ignoring proviso triggers.
+        firing to the given plan positions: the layered core replays witness
+        plan chains this way.
         """
         info = self.plan_info(state)
         results: list[tuple[TransitionLabel | None, SymbolicState]] = []
@@ -861,15 +673,12 @@ class SuccessorGenerator:
         return stack
 
     def block_successors(
-        self,
-        states: Sequence[SymbolicState],
-        plan_indices: Sequence[int] | None = None,
-        rows: Sequence[int] | None = None,
+        self, states: Sequence[SymbolicState]
     ) -> tuple[_DiscreteInfo, list[BlockFire]]:
         """Fire every plan against a block of states sharing one discrete key.
 
         All *states* must have identical ``(locations, variables)`` -- the
-        caller pops them as one run from the waiting list -- so they share
+        layered core groups each round's frontier by key -- so they share
         the memoised plan list, and each plan's clock work (guards, resets,
         target invariants, delay closure) runs as stacked whole-block numpy
         kernels instead of one zone at a time.  Per fired plan the result
@@ -877,14 +686,6 @@ class SuccessorGenerator:
         extrapolation is deferred exactly like ``successors(...,
         extrapolate=False)`` (the engine extrapolates only the states it
         keeps, via :meth:`extrapolate_stack`).
-
-        ``plan_indices`` restricts firing to the given plan positions and
-        ``rows`` to the given block positions; the returned ``node_indices``
-        always refer to positions in the full *states* block.  The
-        reachability engine uses both for the partial-order reduction: fire
-        only the ample plan for the whole block first, then re-expand the
-        remaining plans for exactly the rows whose ample successor was
-        already covered.
 
         The per-layer results are bit-identical to firing the scalar
         pipeline on each state: every batched kernel matches its scalar
@@ -898,18 +699,28 @@ class SuccessorGenerator:
         fires: list[BlockFire] = []
         if not info.plans:
             return info, fires
-        if rows is None:
-            selected: Sequence[SymbolicState] = states
-            all_indices = np.arange(len(states), dtype=np.intp)
-        else:
-            all_indices = np.asarray(rows, dtype=np.intp)
-            selected = [states[r] for r in all_indices]
-        if not len(selected):
+        if len(states) == 1:
+            # one layer: the scalar pipeline is several times cheaper than
+            # the stacked kernels' fixed dispatch cost, and bit-identical
+            state = states[0]
+            only = np.zeros(1, dtype=np.intp)
+            for index, plan in enumerate(info.plans):
+                try:
+                    successor = self._fire(state, plan, extrapolate=False)
+                except Exception as exc:
+                    if exc is not plan.error:
+                        raise
+                    fires.append(BlockFire(plan, index, None, only, plan.error))
+                    continue
+                if successor is not None:
+                    stack = DBMStack(1, successor.zone.dim)
+                    stack.a[0] = successor.zone.m2
+                    successor.zone.discard()
+                    fires.append(BlockFire(plan, index, stack, only, None))
             return info, fires
-        source = DBMStack.from_zones([s.zone for s in selected])
-        chosen = range(len(info.plans)) if plan_indices is None else plan_indices
-        for index in chosen:
-            plan = info.plans[index]
+        all_indices = np.arange(len(states), dtype=np.intp)
+        source = DBMStack.from_zones([s.zone for s in states])
+        for index, plan in enumerate(info.plans):
             # reject infeasible fires before paying for the stack copy (the
             # batched form of the scalar negative-cycle precheck)
             indices = all_indices

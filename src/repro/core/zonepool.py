@@ -53,6 +53,11 @@ import numpy as np
 __all__ = ["SharedZonePool", "ZonePool", "global_zone_pool", "reset_global_pool"]
 
 
+#: largest block capacity (rows) the pool keeps for reuse: a wide round of
+#: the layered core must not pin its buffers for the rest of the process
+_MAX_POOLED_ROWS = 64
+
+
 def _block_capacity(rows: int) -> int:
     """Round a block row count up to the pooled capacity (power of two)."""
     return max(4, 1 << (int(rows) - 1).bit_length())
@@ -117,7 +122,7 @@ class ZonePool:
         """Return a block buffer previously acquired for *dim* to the pool."""
         capacity = buffer.shape[0] // (dim * dim)
         free = self._free_blocks.setdefault((dim, capacity), [])
-        if len(free) < self.max_blocks_per_key:
+        if capacity <= _MAX_POOLED_ROWS and len(free) < self.max_blocks_per_key:
             free.append(buffer)
             self.released += 1
         else:

@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reductions", default=None, metavar="SPEC",
                         help="state-space reductions of the exact engine: 'all' "
                              "(default), 'none' or a comma list of "
-                             "lu_extrapolation, partial_order, symmetry "
+                             "lu_extrapolation, symmetry "
                              "(docs/reductions.md); the reduced exploration must "
                              "produce bit-identical WCRTs, so a campaign with "
                              "reductions on cross-checks them against the three "

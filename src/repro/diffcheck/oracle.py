@@ -147,7 +147,7 @@ class ModelVerdict:
     #: symbolic states explored by the TA engine (sup + binary cross-check)
     ta_states: int = 0
     #: non-zero reduction counters of the TA sup run (states_subsumed_lu,
-    #: plans_commuted, keys_folded); empty when no reduction fired
+    #: keys_folded); empty when no reduction fired
     reduction_counters: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 

@@ -12,7 +12,7 @@ See ``docs/performance.md`` for the workflow and
 ``benchmarks/bench_core_scaling.py`` for the main consumer.
 """
 
-from repro.perf.metrics import Counter, StageRecorder, Timer
+from repro.perf.metrics import Counter, Timer
 from repro.perf.trajectory import (
     ANCHOR_CHECKS,
     BENCH_SCHEMA,
@@ -27,7 +27,6 @@ from repro.perf.trajectory import (
 __all__ = [
     "Timer",
     "Counter",
-    "StageRecorder",
     "ANCHOR_CHECKS",
     "BENCH_SCHEMA",
     "bench_payload",

@@ -1,16 +1,16 @@
 """Timers and counters for benchmarking the analysis engines.
 
-Deliberately tiny: a context-manager :class:`Timer`, an integer
-:class:`Counter` map, and a :class:`StageRecorder` that aggregates both per
-named stage.  Everything renders to plain dicts so the benchmark JSON writer
-(:mod:`repro.perf.trajectory`) can embed the numbers directly.
+Deliberately tiny: a context-manager :class:`Timer` and an integer
+:class:`Counter` map.  Both render to plain numbers and dicts so the
+benchmark JSON writer (:mod:`repro.perf.trajectory`) can embed them
+directly.
 """
 
 from __future__ import annotations
 
 import time
 
-__all__ = ["Timer", "Counter", "StageRecorder"]
+__all__ = ["Timer", "Counter"]
 
 
 class Timer:
@@ -57,45 +57,3 @@ class Counter:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Counter({self._counts})"
 
-
-class StageRecorder:
-    """Aggregates timings and counters per named stage.
-
-    >>> rec = StageRecorder()
-    >>> with rec.stage("explore"):
-    ...     pass
-    >>> rec.add("explore", "states", 42)
-    >>> rec.as_dict()["explore"]["states"]
-    42
-    """
-
-    __slots__ = ("_timers", "_counters")
-
-    def __init__(self):
-        self._timers: dict[str, Timer] = {}
-        self._counters: dict[str, Counter] = {}
-
-    def stage(self, name: str) -> Timer:
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = Timer()
-            self._timers[name] = timer
-        return timer
-
-    def add(self, stage: str, counter: str, amount: int = 1) -> None:
-        counts = self._counters.get(stage)
-        if counts is None:
-            counts = Counter()
-            self._counters[stage] = counts
-        counts.add(counter, amount)
-
-    def as_dict(self) -> dict[str, dict]:
-        out: dict[str, dict] = {}
-        for name in self._timers.keys() | self._counters.keys():
-            entry: dict = {}
-            if name in self._timers:
-                entry["seconds"] = round(self._timers[name].seconds, 6)
-            if name in self._counters:
-                entry.update(self._counters[name].as_dict())
-            out[name] = entry
-        return out

@@ -102,15 +102,13 @@ class Metrics:
     degraded: int = 0
     quarantined: int = 0
     # cumulative state-space reduction counters of successful oracle runs
-    # (docs/reductions.md): LU-subsumed states, POR-commuted plans,
-    # symmetry-folded keys
+    # (docs/reductions.md): LU-subsumed states, symmetry-folded keys
     states_subsumed_lu: int = 0
-    plans_commuted: int = 0
     keys_folded: int = 0
 
     def record_reductions(self, counters: "dict | None") -> None:
         """Accumulate one result's non-zero reduction counters."""
-        for name in ("states_subsumed_lu", "plans_commuted", "keys_folded"):
+        for name in ("states_subsumed_lu", "keys_folded"):
             setattr(self, name, getattr(self, name) + int((counters or {}).get(name, 0)))
 
     def to_dict(self) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import IO, Sequence
 
 from repro.util.errors import AnalysisError
@@ -56,6 +56,13 @@ def _result_from_dict(data: dict):
     from repro.sweep.runner import CellResult
 
     payload = dict(data)
+    unknown = sorted(set(payload) - {f.name for f in fields(CellResult)})
+    if unknown:
+        raise AnalysisError(
+            f"unknown result field(s) {', '.join(unknown)}: the journal was "
+            "written by a different version of repro-sweep; rerun the sweep "
+            "without --resume"
+        )
     for key in ("counterexamples", "witness_problems"):
         if key in payload:
             payload[key] = tuple(payload[key])
@@ -122,7 +129,12 @@ def load_checkpoint(path: str, cell_names: Sequence[str]) -> dict[int, object]:
                 f"unusable checkpoint {path}: record {index} names "
                 f"{record.get('name')!r}, sweep has {cell_names[index]!r}"
             )
-        completed[index] = _result_from_dict(record["result"])
+        try:
+            completed[index] = _result_from_dict(record["result"])
+        except AnalysisError as exc:
+            raise AnalysisError(
+                f"unusable checkpoint {path}: record on line {position}: {exc}"
+            ) from None
     return completed
 
 

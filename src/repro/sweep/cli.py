@@ -112,14 +112,14 @@ def main(argv: list[str] | None = None) -> int:
                              "before the exact exploration -- identical WCRTs, "
                              "fewer states (docs/portfolio.md)")
     parser.add_argument("--shard-workers", type=int, default=None, metavar="N",
-                        help="fork N shard workers inside every cell's exact "
-                             "exploration (0/1 = scalar engine); verdicts, "
+                        help="fork the exact exploration of every cell into N "
+                             "key partitions (0/1 = in-process); verdicts, "
                              "statistics and witnesses are bit-identical to "
-                             "the scalar engine (docs/performance.md)")
+                             "the in-process run (docs/performance.md)")
     parser.add_argument("--reductions", default=None, metavar="SPEC",
                         help="state-space reductions applied to every cell: 'all', "
                              "'none' or a comma list of lu_extrapolation, "
-                             "partial_order, symmetry -- identical WCRTs, fewer "
+                             "symmetry -- identical WCRTs, fewer "
                              "states (docs/reductions.md); default: the cells' "
                              "own settings")
     supervision = parser.add_argument_group("supervision (docs/robustness.md)")

@@ -82,10 +82,9 @@ class CellResult:
     #: reduction counters (docs/reductions.md); zero when the corresponding
     #: reduction is off or never fired (dropped from trajectory points then)
     states_subsumed_lu: int = 0
-    plans_commuted: int = 0
     keys_folded: int = 0
-    #: sharded-exploration topology counters (docs/performance.md); zero when
-    #: the cell ran on the scalar engine (dropped from trajectory points then)
+    #: forked-partition topology counters (docs/performance.md); zero when
+    #: the cell ran in-process (dropped from trajectory points then)
     shard_workers: int = 0
     shard_handoffs: int = 0
     shard_steals: int = 0
@@ -139,7 +138,7 @@ class CellResult:
                           "counterexamples", "models_per_second", "policy_mix")
         # reduction counters only appear when a reduction actually acted, so
         # the trajectory format of unreduced runs is unchanged
-        for counter in ("states_subsumed_lu", "plans_commuted", "keys_folded"):
+        for counter in ("states_subsumed_lu", "keys_folded"):
             if not out[counter]:
                 out.pop(counter)
         # shard counters only appear for sharded cells, so the trajectory
@@ -363,7 +362,6 @@ def run_cell(cell: "SweepCell | DiffCheckCell", *, index: int = 0,
         transitions=stats.transitions,
         inclusions=stats.inclusions,
         states_subsumed_lu=stats.states_subsumed_lu,
-        plans_commuted=stats.plans_commuted,
         keys_folded=stats.keys_folded,
         shard_workers=stats.shard_workers,
         shard_handoffs=stats.shard_handoffs,

@@ -246,6 +246,19 @@ class _GuidedServer(ResourceServer):
         self._preempt_running()
         self._start_next()
 
+    def _complete(self) -> None:
+        scripted = (self.simulator.now, self._running.task_key)
+        if scripted in self._preempts:
+            # the same race, with the winner submitted *after* this
+            # completion event within the instant: the witness preempts the
+            # finished job anyway, so it waits with zero work left until the
+            # script resumes it (and only then completes)
+            self._preempts.remove(scripted)
+            self._preempt_running(allow_finished=True)
+            self._start_next()
+            return
+        super()._complete()
+
 
 class _GuidedRoundRobinServer(RoundRobinServer):
     """A round-robin server that follows the witness's dispatch order.

@@ -2,13 +2,11 @@
 
 One canonical configuration object flows from the user-facing settings down
 to the explorer (``TimedAutomataSettings`` → ``SearchOptions``) and across
-process/JSON boundaries as a spec string (``PortfolioBudget``).  The old
-``extrapolation="lu"`` knob is a deprecated alias of
-``reductions="lu_extrapolation"`` and must warn without breaking.
+process/JSON boundaries as a spec string (``PortfolioBudget``).  The LU
+grid is only reachable through ``reductions="lu_extrapolation"``.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -20,9 +18,9 @@ from repro.util.errors import ModelError
 
 class TestSettingsThreading:
     def test_settings_normalise_specs_to_a_config(self):
-        settings = TimedAutomataSettings(reductions="partial_order")
+        settings = TimedAutomataSettings(reductions="lu_extrapolation")
         assert isinstance(settings.reductions, ReductionConfig)
-        assert settings.reductions == ReductionConfig.parse("partial_order")
+        assert settings.reductions == ReductionConfig.parse("lu_extrapolation")
 
     def test_settings_default_enables_all_reductions(self):
         assert TimedAutomataSettings().reductions == ReductionConfig()
@@ -42,29 +40,27 @@ class TestSettingsThreading:
             TimedAutomataSettings(reductions="lu")
 
 
-class TestDeprecatedExtrapolationAlias:
-    def test_lu_extrapolation_knob_warns(self):
-        with pytest.warns(DeprecationWarning, match="lu_extrapolation"):
-            settings = TimedAutomataSettings(extrapolation="lu")
-        # the alias stays functional: the semantics still use the LU mode
-        assert settings.semantics_options().extrapolation == "lu"
+class TestExtrapolationMode:
+    def test_lu_mode_points_to_the_reduction(self):
+        with pytest.raises(ModelError, match="lu_extrapolation"):
+            TimedAutomataSettings(extrapolation="lu")
 
-    def test_default_settings_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TimedAutomataSettings()
-            TimedAutomataSettings(extrapolation="max", reductions="all")
+    def test_max_and_none_are_accepted(self):
+        for mode in ("max", "none"):
+            settings = TimedAutomataSettings(extrapolation=mode)
+            assert settings.semantics_options().extrapolation == mode
 
 
 class TestPortfolioBudgetThreading:
     def test_budget_stores_the_canonical_spec_string(self):
         budget = PortfolioBudget(reductions="symmetry, lu_extrapolation")
-        assert budget.reductions == "lu_extrapolation,symmetry"
+        assert budget.reductions == "all"
+        assert PortfolioBudget(reductions=" symmetry ").reductions == "symmetry"
         assert PortfolioBudget().reductions == "all"
         assert PortfolioBudget(reductions="none").reductions == "none"
 
     def test_budget_round_trips_through_dict(self):
-        budget = PortfolioBudget(reductions="partial_order")
+        budget = PortfolioBudget(reductions="symmetry")
         clone = PortfolioBudget.from_dict(budget.to_dict())
         assert clone == budget
         assert "reductions" in budget.to_dict()

@@ -34,10 +34,9 @@ class TestParse:
         assert not any(getattr(config, name) for name in REDUCTION_FIELDS)
 
     def test_comma_list_enables_exactly_the_named_reductions(self):
-        config = ReductionConfig.parse("lu_extrapolation,symmetry")
-        assert config.lu_extrapolation
+        config = ReductionConfig.parse("symmetry")
         assert config.symmetry
-        assert not config.partial_order
+        assert not config.lu_extrapolation
 
     def test_comma_list_tolerates_spaces_and_order(self):
         a = ReductionConfig.parse("symmetry, lu_extrapolation")
@@ -45,12 +44,12 @@ class TestParse:
         assert a == b
 
     def test_existing_config_passes_through_unchanged(self):
-        config = ReductionConfig(partial_order=False)
+        config = ReductionConfig(symmetry=False)
         assert ReductionConfig.parse(config) is config
 
     def test_mapping_spec(self):
         config = ReductionConfig.parse({"symmetry": False})
-        assert config.lu_extrapolation and config.partial_order
+        assert config.lu_extrapolation
         assert not config.symmetry
 
     def test_unknown_name_is_rejected(self):
@@ -62,6 +61,11 @@ class TestParse:
     def test_unknown_mapping_key_is_rejected(self):
         with pytest.raises(ModelError):
             ReductionConfig.parse({"por": True})
+
+    def test_removed_partial_order_name_is_rejected(self):
+        for spec in ("partial_order", {"partial_order": False}):
+            with pytest.raises(ModelError, match="lu_extrapolation, symmetry"):
+                ReductionConfig.parse(spec)
 
     def test_non_bool_flag_is_rejected(self):
         with pytest.raises(ModelError):
@@ -79,11 +83,11 @@ class TestSpecRoundTrip:
     def test_spec_is_canonical(self):
         assert ReductionConfig().spec() == "all"
         assert ReductionConfig.none().spec() == "none"
-        partial = ReductionConfig.parse("symmetry, lu_extrapolation")
-        assert partial.spec() == "lu_extrapolation,symmetry"
+        assert ReductionConfig.parse("symmetry, lu_extrapolation").spec() == "all"
+        assert ReductionConfig.parse(" symmetry ").spec() == "symmetry"
 
     def test_dict_round_trip(self):
-        config = ReductionConfig(partial_order=False)
+        config = ReductionConfig(lu_extrapolation=False)
         assert ReductionConfig.from_dict(config.to_dict()) == config
 
     def test_config_is_hashable_and_picklable(self):
@@ -97,7 +101,7 @@ class TestSearchOptionsThreading:
         options = SearchOptions(reductions="lu_extrapolation")
         assert isinstance(options.reductions, ReductionConfig)
         assert options.reductions.lu_extrapolation
-        assert not options.reductions.partial_order
+        assert not options.reductions.symmetry
 
     def test_search_options_default_is_all_on(self):
         assert SearchOptions().reductions == ReductionConfig()

@@ -15,7 +15,7 @@ crashes.
 import dataclasses
 
 import pytest
-from test_block_explorer import (
+from test_statistics_contract import (
     _branching_network,
     _interleaved_network,
     _samekey_network,

@@ -3,8 +3,8 @@
 ISSUE 5, satellite 3: a search node created without parent pointers used to
 yield a silent partial (single-step) chain when ``trace()`` was called on
 it; it now raises a clear :class:`~repro.util.errors.ReproError` naming the
-option to flip.  Covered for the batched bfs path and the scalar dfs/rdfs
-paths alike.
+option to flip.  Raw ``visit`` callables run on the scalar loop in every
+search order.
 """
 
 import pytest
@@ -66,15 +66,3 @@ def test_recorded_traces_still_build(order):
     assert trace.steps[0].label is None
     assert all(step.label is not None for step in trace.steps[1:])
 
-
-def test_block_path_nodes_also_guarded():
-    # block_size > 1 exercises the batched bfs expansion's node creation
-    compiled = _ticking_network().compile()
-    explorer = Explorer(
-        compiled,
-        search=SearchOptions(order="bfs", record_traces=False, block_size=128),
-    )
-    nodes = []
-    explorer.explore(lambda _state, node: bool(nodes.append(node)))
-    with pytest.raises(ReproError, match="record_traces"):
-        nodes[-1].trace()

@@ -20,7 +20,7 @@ class TestAnalysisOptions:
         a = analysis_options({"reductions": "symmetry, lu_extrapolation"}, **CAPS)
         b = analysis_options({"reductions": "lu_extrapolation,symmetry"}, **CAPS)
         assert a == b
-        assert a["reductions"] == "lu_extrapolation,symmetry"
+        assert a["reductions"] == "all"
 
     def test_all_and_none_are_preserved(self):
         assert analysis_options({"reductions": "all"}, **CAPS)["reductions"] == "all"
@@ -36,17 +36,20 @@ class TestAnalysisOptions:
             analysis_options({"reductions": "symmetri"}, **CAPS)
 
     def test_dict_spec_is_accepted_and_canonicalised(self):
-        options = analysis_options({"reductions": {"partial_order": False}}, **CAPS)
-        assert options["reductions"] == "lu_extrapolation,symmetry"
+        options = analysis_options({"reductions": {"symmetry": False}}, **CAPS)
+        assert options["reductions"] == "lu_extrapolation"
+
+    def test_removed_partial_order_name_is_rejected(self):
+        with pytest.raises(ModelError, match="lu_extrapolation, symmetry"):
+            analysis_options({"reductions": {"partial_order": False}}, **CAPS)
 
 
 class TestMetrics:
     def test_record_reductions_accumulates(self):
         metrics = Metrics()
         metrics.record_reductions({"states_subsumed_lu": 3, "keys_folded": 2})
-        metrics.record_reductions({"states_subsumed_lu": 1, "plans_commuted": 5})
+        metrics.record_reductions({"states_subsumed_lu": 1})
         assert metrics.states_subsumed_lu == 4
-        assert metrics.plans_commuted == 5
         assert metrics.keys_folded == 2
 
     def test_record_reductions_tolerates_missing_counters(self):
@@ -57,5 +60,5 @@ class TestMetrics:
 
     def test_counters_appear_on_the_metrics_surface(self):
         surface = Metrics().to_dict()
-        for name in ("states_subsumed_lu", "plans_commuted", "keys_folded"):
+        for name in ("states_subsumed_lu", "keys_folded"):
             assert name in surface

@@ -77,6 +77,14 @@ class TestRouting:
         assert status == 400
         assert "unknown analysis options" in json.loads(body)["error"]
 
+    def test_removed_partial_order_reduction_400(self, server):
+        payload = {"model": two_task_model_dict("por-model"),
+                   "options": {"reductions": {"partial_order": False}}}
+        status, _headers, body = post_json(server.port, "/analyze", payload)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "partial_order" in error and "lu_extrapolation, symmetry" in error
+
 
 class TestAnalyze:
     def test_exact_analysis_with_witness(self, server):
@@ -219,7 +227,7 @@ class TestMetrics:
         assert metrics["requests"] >= 10
         assert metrics["cache_hits"] == 2
         assert metrics["cache_misses"] == 5
-        assert metrics["rejected_invalid"] == 5
+        assert metrics["rejected_invalid"] == 6
         assert metrics["cache_entries"] == 5
         assert metrics["worker_restarts"] == 0
         assert metrics["draining"] is False

@@ -123,6 +123,20 @@ class TestJournal:
         with pytest.raises(AnalysisError, match="names"):
             load_checkpoint(path, ["cell0"])
 
+    def test_unknown_result_field_rejected(self, tmp_path):
+        # a journal written when CellResult still had a plans_commuted field
+        path = str(tmp_path / "sweep.checkpoint.jsonl")
+        result = run_cell(small_cell(0))
+        with CheckpointJournal(path, ["cell0"]) as journal:
+            journal.record(0, result)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        record = json.loads(lines[1])
+        record["result"]["plans_commuted"] = 0
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(lines[0] + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(AnalysisError, match="line 2: unknown result field.*plans_commuted"):
+            load_checkpoint(path, ["cell0"])
+
     def test_duplicate_cell_names_are_index_keyed(self, tmp_path):
         # the sweep API allows duplicate cells; the journal must keep them
         # apart by index

@@ -12,7 +12,7 @@ from repro.sweep.cells import SweepCell, core_scaling_cells
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.runner import CellResult, run_cell
 
-COUNTERS = ("states_subsumed_lu", "plans_commuted", "keys_folded")
+COUNTERS = ("states_subsumed_lu", "keys_folded")
 
 
 def _result(**overrides) -> CellResult:
@@ -34,10 +34,9 @@ class TestPointFormat:
             assert counter not in point
 
     def test_nonzero_counters_survive(self):
-        point = _result(keys_folded=7, states_subsumed_lu=3).point()
+        point = _result(keys_folded=7).point()
         assert point["keys_folded"] == 7
-        assert point["states_subsumed_lu"] == 3
-        assert "plans_commuted" not in point
+        assert "states_subsumed_lu" not in point
 
 
 class TestGridDefaults:
@@ -87,3 +86,14 @@ class TestCliFlag:
         ])
         assert code == 2
         assert "warp" in capsys.readouterr().err
+
+    def test_removed_partial_order_name_exits_2(self, tmp_path, capsys):
+        code = sweep_main([
+            "--combination", "AL+TMC", "--configuration", "po",
+            "--requirement", "TMC", "--workers", "1",
+            "--reductions", "partial_order",
+            "--output", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "partial_order" in err and "lu_extrapolation, symmetry" in err

@@ -1,11 +1,28 @@
 """Concrete witnesses for the case study's Table 1 WCRT anchors."""
 
+import functools
+
 import pytest
 
-from repro.arch.analysis import TimedAutomataSettings
-from repro.casestudy import WITNESS_ANCHOR_CELLS, anchor_witness, build_radio_navigation
+from repro.arch.analysis import TimedAutomataSettings, analyze_wcrt
+from repro.casestudy import (
+    WITNESS_ANCHOR_CELLS,
+    anchor_witness,
+    build_radio_navigation,
+    configure,
+)
 from repro.casestudy.expected import TABLE1_UPPAAL_MS
-from repro.witness import STRATEGIES, validate_witness, wcrt_witness
+from repro.witness import STRATEGIES, build_witness, validate_witness, wcrt_witness
+
+
+@functools.lru_cache(maxsize=None)
+def _pno_analysis(method):
+    """AL+TMC/pno with a recorded trace; binary search from the DES lower
+    bound 172106 (the po anchor, certified below the pno WCRT)."""
+    model = configure(build_radio_navigation(), "AL+TMC", "pno")
+    settings = TimedAutomataSettings(method=method, record_traces=True,
+                                     binary_lo=172106)
+    return model, analyze_wcrt(model, "TMC", settings)
 
 
 class TestTable1AnchorWitnesses:
@@ -18,6 +35,18 @@ class TestTable1AnchorWitnesses:
         paper = TABLE1_UPPAAL_MS[("HandleTMC (+ AddressLookup)", "po")]
         assert abs(anchored.analysis.wcrt_ms - paper) < 0.001
         assert anchored.validation.replay.replayed_response == 172106
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("method", ["sup", "binary-search"])
+    def test_al_tmc_pno_witnesses_pass_both_validators(self, method, strategy):
+        # the pno witness preempts DecodeTMC at its own completion instant
+        # for DatabaseLookup, which reaches NAV later within that instant
+        model, analysis = _pno_analysis(method)
+        assert analysis.wcrt_ticks == 239081
+        run = build_witness(model, analysis, strategy)
+        validation = validate_witness(model, run, analysis.generated)
+        assert validation.ok, validation.describe()
+        assert validation.replay.replayed_response == 239081
 
     def test_anchor_cells_are_the_exhaustive_al_tmc_cells(self):
         assert ("AL+TMC", "po", "TMC") in WITNESS_ANCHOR_CELLS
