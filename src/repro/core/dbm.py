@@ -202,7 +202,10 @@ _SQUARING_MAX_DIM = 24
 #: elements against the sweep's ``count * dim**3`` total; on wide stacks
 #: memory traffic dominates dispatch.  Both paths compute the same unique
 #: shortest-path fixpoint for satisfiable layers (empty layers are only
-#: flagged, their remaining entries are unspecified either way).
+#: flagged, their remaining entries are unspecified either way).  Stacks
+#: above it also get no squaring scratch: at 16 the benchmark's peak RSS
+#: rose by 0.4 MB on fuzz-window and sp-exact (10 runs each), at the same
+#: wall time.
 _SQUARING_MAX_COUNT = 8
 
 
@@ -829,6 +832,8 @@ def _stack_scratch(count: int, dim: int) -> _StackScratch:
     if scratch is None:
         if any(other != dim for _capacity, other in _STACK_SCRATCH):
             # one network at a time: do not pin every dimension's buffers
+            # (with neither this eviction nor the size cap below, the
+            # sp-exact benchmark's peak RSS rose by 0.3 MB)
             _STACK_SCRATCH.clear()
         scratch = _StackScratch(*key)
         if key[0] <= _MAX_POOLED_ROWS:  # wide stacks are rare: do not pin them

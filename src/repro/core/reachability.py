@@ -228,12 +228,14 @@ class _SearchNode:
 
 
 class _EvalSpec:
-    """What a query entry point's ``visit`` callback looks at.
+    """What a query entry point looks at in the stored states.
 
-    The layered core evaluates the spec on every stored state inside the
-    partitions (it closes over bound formulas whose query constants the
-    entry point registered before the exploration, so forked partitions
-    inherit them) and calls ``visit`` once, on the goal or supremum state.
+    Both loops evaluate the spec through :meth:`observe` on every stored
+    state in scalar visit order -- the scalar loop directly, the layered
+    core inside its partitions (the spec closes over bound formulas whose
+    query constants the entry point registered before the exploration, so
+    forked partitions inherit them).  Either loop then calls the entry
+    point's ``visit`` once, on the goal or supremum state.
     """
 
     __slots__ = ("kind", "predicate", "clock_id", "condition")
@@ -243,6 +245,24 @@ class _EvalSpec:
         self.predicate = predicate
         self.clock_id = clock_id
         self.condition = condition
+
+    def observe(self, state: SymbolicState, best_raw) -> tuple[bool, int | None]:
+        """Evaluate the query on *state*, the next stored state in visit order.
+
+        Returns ``(goal, raw)``: *goal* when *state* ends a goal query, and
+        *raw*, the state's raw upper bound on the sup clock, when it beats
+        *best_raw* (the best bound so far, or None) -- strictly, so on ties
+        the state visited first keeps the supremum; otherwise None.
+        """
+        if self.kind == "goal":
+            return self.predicate(state), None
+        if self.kind == "sup" and (
+            self.condition is None or self.condition.possibly(state)
+        ):
+            raw = state.zone.upper_bound(self.clock_id)
+            if best_raw is None or raw > best_raw:
+                return False, raw
+        return False, None
 
 
 _COUNT = _EvalSpec("count")
@@ -291,24 +311,24 @@ class Explorer:
         visit: Callable[[SymbolicState, "_SearchNode"], bool] | None = None,
         spec: _EvalSpec | None = None,
     ) -> ExplorationStatistics:
-        """Run the exploration, calling *visit* on every new symbolic state.
+        """Run the exploration; the statistics record why it terminated.
 
-        ``visit`` may return ``True`` to stop the search (goal found).  The
-        returned statistics record why the exploration terminated.
+        The query entry points pass a *spec*; *visit* is then called once,
+        on the goal or supremum state.  Without a spec, *visit* is a raw
+        callable called on every new symbolic state, and may return
+        ``True`` to stop the search (goal found).
 
         A breadth-first exploration with inclusion checking runs on the
-        layered core when it knows what *visit* looks at: always for a pure
-        count (no *visit*), and for the query entry points, which pass their
-        *spec*.  The core then calls *visit* only on the goal or supremum
-        state.  Anything else runs the scalar loop.
+        layered core, unless *visit* is a raw callable (the core cannot
+        evaluate one).  Anything else runs the scalar loop.
         """
-        spec = self._layered_spec(visit, spec)
-        if spec is None:
-            return self._explore_scalar(visit)
+        layered = self._layered_spec(visit, spec)
+        if layered is None:
+            return self._explore_scalar(visit, spec)
         # imported here: the shard module builds on this one
         from repro.core.shard import explore_layered
 
-        return explore_layered(self, spec, visit)
+        return explore_layered(self, layered, visit)
 
     def _layered_spec(self, visit, spec: _EvalSpec | None) -> _EvalSpec | None:
         """The spec the layered core runs with, or None for the scalar loop."""
@@ -334,10 +354,28 @@ class Explorer:
         return deadline
 
     def _explore_scalar(
-        self, visit: Callable[[SymbolicState, "_SearchNode"], bool] | None
+        self,
+        visit: Callable[[SymbolicState, "_SearchNode"], bool] | None,
+        spec: _EvalSpec | None = None,
     ) -> ExplorationStatistics:
-        """The one-state-at-a-time loop (dfs, rdfs and the layered core's oracle)."""
+        """The one-state-at-a-time loop (dfs, rdfs and the layered core's oracle).
+
+        *visit* and *spec* mean what they mean for :meth:`explore`.
+        """
         options = self.search
+        #: with a spec: the best sup bound so far and the (state, node)
+        #: *visit* is called on at the end
+        best_raw = decisive = None
+
+        def observe(state: SymbolicState, node: _SearchNode) -> bool:
+            nonlocal best_raw, decisive
+            if spec is None:
+                return visit is not None and visit(state, node)
+            goal, raw = spec.observe(state, best_raw)
+            if goal or raw is not None:
+                best_raw, decisive = raw, (state, node)
+            return goal
+
         stats = ExplorationStatistics(search_order=options.order)
         stats.start_timer()
         rng = random.Random(options.seed)
@@ -356,10 +394,9 @@ class Explorer:
         waiting.append(root)
         stats.peak_waiting = 1
 
-        if visit is not None and visit(initial, root):
+        if observe(initial, root):
             stats.termination = "goal"
-            stats.stop_timer()
-            return stats
+            waiting.clear()
 
         deadline = self._deadline()
         max_states = options.max_states
@@ -407,15 +444,17 @@ class Explorer:
                 child = _SearchNode(
                     successor, node if record_traces else _UNRECORDED, label
                 )
-                if visit is not None and visit(successor, child):
+                if observe(successor, child):
                     stats.termination = "goal"
-                    stats.stop_timer()
-                    return stats
+                    waiting.clear()
+                    break
                 waiting.append(child)
                 if len(waiting) > stats.peak_waiting:
                     stats.peak_waiting = len(waiting)
 
         stats.stop_timer()
+        if decisive is not None and visit is not None:
+            visit(*decisive)
         return stats
 
     def _canonical(self, state: SymbolicState, stats: ExplorationStatistics) -> SymbolicState:
@@ -472,24 +511,25 @@ class Explorer:
             return self._check_ag(query)
         raise ModelError(f"unsupported query {query!r}")
 
+    def _run_query(
+        self, spec: _EvalSpec
+    ) -> tuple[ExplorationStatistics, _SearchNode | None]:
+        """Explore for *spec*: the statistics and the goal or supremum node
+        (None when no stored state qualified)."""
+        nodes: list[_SearchNode] = []
+        stats = self.explore(lambda _state, node: nodes.append(node), spec)
+        return stats, (nodes[0] if nodes else None)
+
     def _check_ef(self, query: EF) -> ReachabilityResult:
         # query.bind registers the formula's clock constants with the
         # network; scope them to this run like _check_ag and sup do
         saved_constants = self.network.query_constants_snapshot()
         try:
             bound_formula = query.bind(self.network)
-            found: list[_SearchNode] = []
-
-            def visit(state: SymbolicState, node: _SearchNode) -> bool:
-                if bound_formula.possibly(state):
-                    found.append(node)
-                    return True
-                return False
-
-            stats = self.explore(visit, _EvalSpec("goal", bound_formula.possibly))
-            if found:
+            stats, goal = self._run_query(_EvalSpec("goal", bound_formula.possibly))
+            if goal is not None:
                 return ReachabilityResult(
-                    query, True, found[0].trace() if self.search.record_traces else None, stats
+                    query, True, goal.trace() if self.search.record_traces else None, stats
                 )
             holds: bool | None = False if stats.exhaustive else None
             return ReachabilityResult(query, holds, None, stats)
@@ -509,20 +549,12 @@ class Explorer:
                 self.network.register_query_constant(clock, constant)
             for clock, constant in bound_formula.max_clock_constant().items():
                 self.network.register_query_constant(clock, constant)
-            violations: list[_SearchNode] = []
-
-            def visit(state: SymbolicState, node: _SearchNode) -> bool:
-                if negated.possibly(state):
-                    violations.append(node)
-                    return True
-                return False
-
-            stats = self.explore(visit, _EvalSpec("goal", negated.possibly))
-            if violations:
+            stats, violation = self._run_query(_EvalSpec("goal", negated.possibly))
+            if violation is not None:
                 return ReachabilityResult(
                     query,
                     False,
-                    violations[0].trace() if self.search.record_traces else None,
+                    violation.trace() if self.search.record_traces else None,
                     stats,
                 )
             holds: bool | None = True if stats.exhaustive else None
@@ -548,25 +580,13 @@ class Explorer:
             if condition is not None:
                 for clock, constant in condition.max_clock_constant().items():
                     network.register_query_constant(clock, constant)
-            best_raw = None
-            best_node: list[_SearchNode | None] = [None]
-
-            def visit(state: SymbolicState, node: _SearchNode) -> bool:
-                nonlocal best_raw
-                if condition is not None and not condition.possibly(state):
-                    return False
-                raw = state.zone.upper_bound(clock_id)
-                if best_raw is None or raw > best_raw:
-                    best_raw = raw
-                    best_node[0] = node
-                return False
-
-            stats = self.explore(
-                visit, _EvalSpec("sup", clock_id=clock_id, condition=condition)
+            stats, best = self._run_query(
+                _EvalSpec("sup", clock_id=clock_id, condition=condition)
             )
-
-            if best_raw is None:
+            if best is None:
                 return SupResult(query, None, False, not stats.exhaustive, stats)
+            best_raw = best.state.zone.upper_bound(clock_id)
+            trace = best.trace() if self.search.record_traces else None
 
             value, strict = bound_as_tuple(best_raw)
             hit_ceiling = best_raw >= INFINITY_RAW or (
@@ -579,11 +599,6 @@ class Explorer:
                     query.ceiling if query.ceiling is not None
                     else network.max_constants[clock_id]
                 )
-                trace = (
-                    best_node[0].trace()
-                    if best_node[0] and self.search.record_traces
-                    else None
-                )
                 return SupResult(query, int(ceiling), False, True, stats, trace)
             return SupResult(
                 query,
@@ -591,7 +606,7 @@ class Explorer:
                 not strict,
                 bool(hit_ceiling or not stats.exhaustive),
                 stats,
-                best_node[0].trace() if best_node[0] and self.search.record_traces else None,
+                trace,
             )
         finally:
             network.restore_query_constants(saved_constants)

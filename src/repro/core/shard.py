@@ -498,15 +498,13 @@ class _Partition:
                 context.locations, context.variables, zone, context.key
             )
             self.unassigned.append((context.key, state))
-            if spec.kind == "goal":
-                if goal_tag is None and spec.predicate(state):
+            if goal_tag is None:
+                best_raw = None if self.sup_best is None else self.sup_best[0]
+                goal, raw = spec.observe(state, best_raw)
+                if goal:
                     goal_tag = (int(parents[index]), int(plans[index]))
-            elif spec.kind == "sup":
-                if spec.condition is None or spec.condition.possibly(state):
-                    raw_bound = zone.upper_bound(spec.clock_id)
-                    if self.sup_best is None or raw_bound > self.sup_best[0]:
-                        tag = (int(parents[index]), int(plans[index]))
-                        self.sup_best = (raw_bound, tag)
+                elif raw is not None:
+                    self.sup_best = (raw, (int(parents[index]), int(plans[index])))
 
         for context in contexts:
             if context.pending:
@@ -739,17 +737,13 @@ def explore_layered(explorer: Explorer, spec, visit, workers: int = 1,
     stats.states_stored = 1
     stats.peak_waiting = 1
 
-    if spec.kind == "goal" and spec.predicate(initial):
+    goal, root_sup = spec.observe(initial, None)
+    if goal:
         if visit is not None:
             visit(initial, _SearchNode(initial, None, None))
         stats.termination = "goal"
         stats.stop_timer()
         return stats
-    root_sup = None
-    if spec.kind == "sup" and (
-        spec.condition is None or spec.condition.possibly(initial)
-    ):
-        root_sup = initial.zone.upper_bound(spec.clock_id)
 
     deadline = explorer._deadline()
     if workers == 1:

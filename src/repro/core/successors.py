@@ -701,7 +701,10 @@ class SuccessorGenerator:
             return info, fires
         if len(states) == 1:
             # one layer: the scalar pipeline is several times cheaper than
-            # the stacked kernels' fixed dispatch cost, and bit-identical
+            # the stacked kernels' fixed dispatch cost, and bit-identical.
+            # 39% of the groups on the fuzz-window benchmark are single
+            # (17% on sp-exact); firing them stacked made fuzz-window 13%
+            # and serve-analyze 6% slower in wall time (3 runs each)
             state = states[0]
             only = np.zeros(1, dtype=np.intp)
             for index, plan in enumerate(info.plans):

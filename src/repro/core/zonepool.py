@@ -54,7 +54,10 @@ __all__ = ["SharedZonePool", "ZonePool", "global_zone_pool", "reset_global_pool"
 
 
 #: largest block capacity (rows) the pool keeps for reuse: a wide round of
-#: the layered core must not pin its buffers for the rest of the process
+#: the layered core must not pin its buffers for the rest of the process.
+#: The core also chunks its stacks to this size; without the cap and the
+#: chunking the sp-exact benchmark's peak RSS rose by 5.8 MB and its wall
+#: time did not improve (3 runs each)
 _MAX_POOLED_ROWS = 64
 
 

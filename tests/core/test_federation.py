@@ -27,9 +27,9 @@ class TestAmortisedGrowth:
     def test_insert_n_zones_costs_linear_stack_copies(self):
         """Growing the stack must be amortised O(N) row copies, not O(N^2).
 
-        With 1.5x growth, inserting N pairwise-incomparable zones copies
-        each stored row only at the capacity steps: 1 + 2 + 3 + 4 + 6 + 9 + ...
-        < 3N rows in total.  The seed implementation re-stacked every row on every insert
+        With doubling, inserting N pairwise-incomparable zones copies each
+        stored row only at the capacity doublings: 1 + 2 + 4 + ... < 2N rows
+        in total.  The seed implementation re-stacked every row on every insert
         (N^2 / 2 copies); this counter-based bound would catch that reliably.
         """
         n = 64
@@ -37,7 +37,7 @@ class TestAmortisedGrowth:
         for zone in _incomparable(n):
             assert federation.add(zone)
         assert len(federation) == n
-        assert federation.stack_copies <= 3 * n  # 1+2+3+4+6+9+...+42+63 = 190
+        assert federation.stack_copies <= 2 * n  # doubling: 1+2+4+8+16+32 = 63
         federation.check_consistent()
 
     def test_eviction_copies_are_counted(self):

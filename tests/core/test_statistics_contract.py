@@ -103,7 +103,7 @@ class ScalarOracle(Explorer):
     """Every exploration on the scalar loop: the equality oracle."""
 
     def explore(self, visit=None, spec=None):
-        return self._explore_scalar(visit)
+        return self._explore_scalar(visit, spec)
 
 
 def _forked(network, semantics=None, search=None):

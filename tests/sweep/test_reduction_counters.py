@@ -34,9 +34,9 @@ class TestPointFormat:
             assert counter not in point
 
     def test_nonzero_counters_survive(self):
-        point = _result(keys_folded=7).point()
+        point = _result(keys_folded=7, states_subsumed_lu=3).point()
         assert point["keys_folded"] == 7
-        assert "states_subsumed_lu" not in point
+        assert point["states_subsumed_lu"] == 3
 
 
 class TestGridDefaults:
