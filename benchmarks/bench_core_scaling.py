@@ -266,9 +266,9 @@ def run_reduced_cell(
 ) -> dict:
     """Run one cell with the given state-space reductions (docs/reductions.md).
 
-    LU extrapolation, partial-order reduction and symmetry are all
-    exactness-preserving: the WCRT must come out bit-identical to the
-    unreduced twin, only the explored state count may shrink.  The point
+    LU extrapolation and symmetry are both exactness-preserving: the WCRT
+    must come out bit-identical to the unreduced twin, only the explored
+    state count may shrink.  The point
     records which reductions actually fired through the engine's counters
     (``reductions="none"`` records the unreduced twin itself).
     """
@@ -392,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     total_states = 0
     total_seconds = 0.0
 
-    # warm the process (numpy ufunc dispatch, zone pool, compiled-model
+    # warm the process (numpy ufunc dispatch, kernel scratch, compiled-model
     # caches) so the first, smallest cell is not measured cold
     run_cell(model, *cells[0], reps=1)
 
@@ -476,8 +476,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{unguided_binary['states_explored']} unguided)"
         )
 
-    # state-space reduction twins (docs/reductions.md): LU extrapolation,
-    # partial-order and symmetry reduction all on, each point verified
+    # state-space reduction twins (docs/reductions.md): LU extrapolation
+    # and symmetry reduction both on, each point verified
     # in-run against its unreduced anchor above -- bit-identical WCRT,
     # never more states.  The replicated-load cell exercises the symmetry
     # fold the case study cannot (its scenarios share every resource) and

@@ -1,4 +1,4 @@
-"""Experiments E3–E7 and A1 — the modelling templates and engine ablations.
+"""Experiments E3–E7 — the modelling templates and exploration effort.
 
 * E3 (Figs. 4/5): effect of non-preemptive vs preemptive scheduling of the
   RAD processor on the K2A worst case and on the state-space size.
@@ -8,7 +8,6 @@
 * E6 (Fig. 9 / Property 1): the observer-based single-pass ``sup`` extraction
   versus the paper's binary search.
 * E7: exploration effort per search order (bfs / dfs / rdfs).
-* A1: DBM closure backend (pure Python vs numpy) micro-benchmark.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.arch import (
     build_model,
 )
 from repro.core import Explorer, SearchOptions
-from repro.core.dbm import DBM, bound, set_close_backend
 from repro.core.wcrt import wcrt_binary_search, wcrt_sup
 
 
@@ -208,51 +206,4 @@ def test_exploration_effort(benchmark, radio_navigation_model, order):
     benchmark.extra_info["states_per_second"] = (
         round(stats.states_explored / stats.elapsed_seconds) if stats.elapsed_seconds else None
     )
-    assert stats.states_explored > 0
-
-
-# ---------------------------------------------------------------------------
-# A1 — DBM closure backend ablation
-# ---------------------------------------------------------------------------
-
-def _dbm_workload() -> None:
-    zone = DBM.universal(12)
-    for i in range(1, 12):
-        zone.constrain(i, 0, bound(1000 + 13 * i))
-        zone.constrain(0, i, bound(-7 * i))
-    for i in range(1, 11):
-        zone.constrain(i, i + 1, bound(50 + i, strict=True))
-    zone.close()
-    zone.up()
-    zone.reset(3, 5)
-    zone.extrapolate_max_bounds([0] + [900] * 11)
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy", "auto"])
-def test_ablation_dbm_backend(benchmark, backend):
-    set_close_backend(backend)
-    try:
-        benchmark.pedantic(_dbm_workload, rounds=30, iterations=5)
-    finally:
-        set_close_backend("auto")
-    benchmark.extra_info["backend"] = backend
-
-
-@pytest.mark.parametrize("inclusion", [True, False], ids=["inclusion-on", "inclusion-off"])
-def test_ablation_inclusion_checking(benchmark, radio_navigation_model, inclusion):
-    from repro.casestudy import configure
-
-    model = configure(radio_navigation_model, "AL+TMC", "po")
-    generated = build_model(model, "TMC")
-    compiled = generated.compile()
-
-    def run():
-        explorer = Explorer(
-            compiled,
-            search=SearchOptions(max_states=state_budget(6_000), inclusion_checking=inclusion),
-        )
-        return explorer.count_states()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["states_stored"] = stats.states_stored
     assert stats.states_explored > 0

@@ -20,15 +20,11 @@ comparisons.
 
 Storage
 -------
-The matrix lives in one flat, row-major ``int64`` numpy buffer (``DBM.m``);
+The matrix lives in one flat, row-major ``int64`` numpy array (``DBM.m``);
 ``DBM.m2`` is the same memory viewed as an ``n x n`` array for the vectorised
-operations.  Buffers are acquired from the process-wide
-:class:`~repro.core.zonepool.ZonePool`, so the copy/discard churn of the
-exploration inner loop (one copy per fired transition, most of them thrown
-away) recycles a small set of buffers instead of hammering the allocator.
-Call :meth:`DBM.discard` when a zone is known to be dead to return its buffer
-to the pool; a zone that is never discarded is reclaimed by the garbage
-collector as usual.
+operations.  The array belongs to the DBM: :meth:`DBM.copy` allocates a fresh
+one, and a dead zone is reclaimed by the garbage collector like any other
+array.
 
 The bulk operations (``up``, ``reset``, ``intersect``, ``is_subset_of``, the
 extrapolations and the partial closures) are vectorised over the buffer;
@@ -45,15 +41,11 @@ Extrapolation re-closes with a Floyd-Warshall sweep restricted to the touched
 clocks (the ``closex`` optimisation of the UPPAAL DBM library) instead of a
 full cubic pass.
 
-Three closure backends are provided for the *full* closure: a pure-Python
-triple loop (``"python"``), a per-k vectorised numpy sweep (``"numpy"``) and
-``"auto"`` (the default), which closes by repeated min-plus squaring for
-small dimensions and falls back to the per-k sweep for large ones.  All
-backends agree bit-for-bit on satisfiable zones; for unsatisfiable inputs
-the auto backend additionally guarantees that :meth:`DBM.is_empty` holds
-afterwards.  The choice can be pinned globally via
-:func:`set_close_backend`; ``docs/performance.md`` describes how the
-backends were calibrated.
+The full closure picks its kernel by dimension: repeated min-plus squaring
+up to :data:`_SQUARING_MAX_DIM` clocks, a per-k vectorised sweep above that.
+Both reach the same Floyd-Warshall fixpoint on satisfiable zones; the
+squaring kernel also marks an unsatisfiable zone empty.
+``docs/performance.md`` describes how the kernels were calibrated.
 """
 
 from __future__ import annotations
@@ -63,7 +55,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.zonepool import _MAX_POOLED_ROWS, _block_capacity, global_zone_pool
 from repro.util.errors import ModelError
 
 __all__ = [
@@ -78,8 +69,6 @@ __all__ = [
     "negate_weak",
     "DBM",
     "DBMStack",
-    "set_close_backend",
-    "get_close_backend",
     "reset_process_caches",
 ]
 
@@ -143,15 +132,16 @@ def negate_weak(raw: int) -> int:
     return bound(-value, strict=not strict)
 
 
-_POOL = global_zone_pool()
-
-
 # ---------------------------------------------------------------------------
-# Closure backends
+# Closure kernels
 # ---------------------------------------------------------------------------
 
 def _close_python(m: list[int], dim: int) -> None:
-    """Floyd-Warshall closure of a flat row-major raw-bound matrix, in place."""
+    """Floyd-Warshall closure of a flat row-major raw-bound list, in place.
+
+    The seed's scalar triple loop, kept as the reference the tests compare
+    the vectorised kernels against; the engine never calls it.
+    """
     inf = INFINITY_RAW
     for k in range(dim):
         row_k = k * dim
@@ -192,7 +182,7 @@ def _close_numpy_inplace(a: np.ndarray, dim: int) -> None:
         _sweep_k(a, k)
 
 
-#: largest dimension for which the auto backend uses min-plus squaring (the
+#: largest dimension for which :meth:`DBM.close` uses min-plus squaring (the
 #: squaring tensor is dim^3 entries; beyond this the per-k sweep wins)
 _SQUARING_MAX_DIM = 24
 
@@ -215,8 +205,7 @@ class _Scratch:
     The closure and the incremental re-closures run hundreds of thousands of
     times per exploration on matrices of ~100 entries; at that size numpy's
     allocation overhead rivals the arithmetic, so every kernel writes into
-    these shared buffers via ``out=``.  Single-threaded by design, like the
-    zone pool.
+    these shared buffers via ``out=``.  Single-threaded by design.
     """
 
     __slots__ = ("t3", "w3", "m3", "c2", "e2", "w2", "m2", "v1", "u1", "b1")
@@ -287,41 +276,6 @@ def _close_squaring(a: np.ndarray, dim: int) -> None:
         a[0, 0] = LT_ZERO - 2  # mark empty
 
 
-_BACKEND_NAMES = ("python", "numpy", "auto")
-_backend = "auto"
-
-
-def set_close_backend(name: str) -> None:
-    """Select the Floyd-Warshall backend: ``"python"``, ``"numpy"`` or ``"auto"``."""
-    global _backend
-    if name not in _BACKEND_NAMES:
-        raise ModelError(f"unknown DBM close backend {name!r}")
-    _backend = name
-
-
-def get_close_backend() -> str:
-    """Return the name of the currently selected closure backend."""
-    return _backend
-
-
-def _close_buffer(m: np.ndarray, a: np.ndarray, dim: int) -> None:
-    """Full closure of the flat buffer *m* / 2-D view *a* with the active backend."""
-    backend = _backend
-    if backend == "auto":
-        if dim <= _SQUARING_MAX_DIM:
-            _close_squaring(a, dim)
-        else:
-            _close_numpy_inplace(a, dim)
-    elif backend == "numpy":
-        _close_numpy_inplace(a, dim)
-    else:
-        # round-trip through a Python list: scalar loops on ndarrays are much
-        # slower than on lists, and for small dims the loop beats numpy anyway
-        data = m.tolist()
-        _close_python(data, dim)
-        m[:] = data
-
-
 # ---------------------------------------------------------------------------
 # The DBM class
 # ---------------------------------------------------------------------------
@@ -333,7 +287,7 @@ class DBM:
     ``1 .. dim-1``.  Instances behave like mutable values: operations modify
     the receiver in place and return ``self`` to allow chaining; use
     :meth:`copy` for persistent snapshots (the model checker copies before
-    mutating) and :meth:`discard` to recycle the buffer of a dead zone.
+    mutating).
     """
 
     __slots__ = ("dim", "m", "m2")
@@ -342,27 +296,24 @@ class DBM:
         if dim < 1:
             raise ModelError("DBM dimension must be at least 1")
         self.dim = dim
-        m = _POOL.acquire(dim)
         if raw is None:
             # default-construct the universal zone (all clocks >= 0):
             # no bounds anywhere except the zero diagonal and the zero row
             # (x_0 - x_i <= 0, i.e. x_i >= 0)
-            m[:] = INFINITY_RAW
+            m = np.full(dim * dim, INFINITY_RAW, dtype=np.int64)
             m[:: dim + 1] = LE_ZERO
             m[:dim] = LE_ZERO
         else:
-            data = np.asarray(raw, dtype=np.int64).reshape(-1)
-            if data.shape[0] != dim * dim:
-                _POOL.release(dim, m)
+            m = np.array(raw, dtype=np.int64).reshape(-1)  # always a copy
+            if m.shape[0] != dim * dim:
                 raise ModelError("raw DBM data has the wrong length")
-            m[:] = data
         self.m = m
         self.m2 = m.reshape(dim, dim)
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def _wrap(cls, dim: int, buffer: np.ndarray) -> "DBM":
-        """Internal: adopt an already-filled pooled buffer."""
+        """Internal: adopt an already-filled flat array (no copy)."""
         d = cls.__new__(cls)
         d.dim = dim
         d.m = buffer
@@ -372,9 +323,7 @@ class DBM:
     @classmethod
     def zero(cls, dim: int) -> "DBM":
         """The zone in which every clock equals zero."""
-        buffer = _POOL.acquire(dim)
-        buffer[:] = LE_ZERO
-        return cls._wrap(dim, buffer)
+        return cls._wrap(dim, np.full(dim * dim, LE_ZERO, dtype=np.int64))
 
     @classmethod
     def universal(cls, dim: int) -> "DBM":
@@ -403,16 +352,8 @@ class DBM:
         return int(self.m[clock])
 
     def copy(self) -> "DBM":
-        """Return an independent copy (buffer drawn from the zone pool)."""
-        buffer = _POOL.acquire(self.dim)
-        buffer[:] = self.m
-        return DBM._wrap(self.dim, buffer)
-
-    def discard(self) -> None:
-        """Return the backing buffer to the pool; the DBM must not be used again."""
-        _POOL.release(self.dim, self.m)
-        self.m = None  # type: ignore[assignment]  -- fail loudly on reuse
-        self.m2 = None  # type: ignore[assignment]
+        """Return an independent copy."""
+        return DBM._wrap(self.dim, self.m.copy())
 
     def key(self) -> bytes:
         """A hashable canonical key (requires the DBM to be closed)."""
@@ -445,7 +386,10 @@ class DBM:
     # -- canonicalisation ----------------------------------------------------------
     def close(self) -> "DBM":
         """Compute the canonical (all-pairs-shortest-path) form in place."""
-        _close_buffer(self.m, self.m2, self.dim)
+        if self.dim <= _SQUARING_MAX_DIM:
+            _close_squaring(self.m2, self.dim)
+        else:
+            _close_numpy_inplace(self.m2, self.dim)
         return self
 
     def close_touched(self, touched: Iterable[int]) -> "DBM":
@@ -547,7 +491,7 @@ class DBM:
             return not (m[0] < LE_ZERO)
         a = self.m2
         s = _scratch(dim)
-        cols = a[:, clocks]  # (dim, len(pairs)) -- variable width, not pooled
+        cols = a[:, clocks]  # (dim, len(pairs)) -- variable width, no scratch
         t = cols + raws  # candidates  old[a][c] (+) raw_c
         w = cols | raws
         w &= 1
@@ -650,11 +594,7 @@ class DBM:
 
     def intersects(self, other: "DBM") -> bool:
         """Return ``True`` if the intersection of the two zones is non-empty."""
-        probe = self.copy()
-        probe.intersect(other)
-        empty = probe.is_empty()
-        probe.discard()
-        return not empty
+        return not self.copy().intersect(other).is_empty()
 
     # -- extrapolation ---------------------------------------------------------------------
     def extrapolate_max_bounds(self, max_bounds: Sequence[int]) -> "DBM":
@@ -792,6 +732,18 @@ def _extrapolation_grids(
 #: kernels, which use the same sentinel inline)
 _EMPTY_RAW: int = LT_ZERO - 2
 
+#: largest stack (rows) whose kernel scratch is cached: a wide round of the
+#: layered core must not pin its buffers for the rest of the process.  The
+#: core also chunks its stacks to this size; without the cap and the
+#: chunking the sp-exact benchmark's peak RSS rose by 5.8 MB and its wall
+#: time did not improve (3 runs each)
+_MAX_STACK_ROWS = 64
+
+
+def _block_capacity(rows: int) -> int:
+    """Round a stack's row count up to its scratch size class (power of two)."""
+    return max(4, 1 << (int(rows) - 1).bit_length())
+
 
 class _StackScratch:
     """Preallocated work buffers for the stacked kernels, per (capacity, dim).
@@ -799,9 +751,9 @@ class _StackScratch:
     The batched pipeline runs a handful of whole-stack ufuncs per kernel;
     letting each call allocate its ``(count, dim, dim[, dim])`` temporaries
     would put the allocator back on the hot path that the batching removed.
-    Buffers are sized to the pooled block *capacity* (a power of two, see
-    :func:`~repro.core.zonepool._block_capacity`) and sliced to the live
-    count, so one scratch entry serves every stack in its size class.
+    Buffers are sized to the stack's *capacity* class (a power of two, see
+    :func:`_block_capacity`) and sliced to the live count, so one scratch
+    entry serves every stack in its size class.
     """
 
     __slots__ = ("t4", "w4", "m4", "c3", "w3", "m3", "e3", "v2", "u2", "w2", "b2")
@@ -836,7 +788,7 @@ def _stack_scratch(count: int, dim: int) -> _StackScratch:
             # sp-exact benchmark's peak RSS rose by 0.3 MB)
             _STACK_SCRATCH.clear()
         scratch = _StackScratch(*key)
-        if key[0] <= _MAX_POOLED_ROWS:  # wide stacks are rare: do not pin them
+        if key[0] <= _MAX_STACK_ROWS:  # wide stacks are rare: do not pin them
             _STACK_SCRATCH[key] = scratch
     return scratch
 
@@ -845,8 +797,8 @@ class DBMStack:
     """A stack of ``count`` DBMs over the same ``dim`` clocks in one buffer.
 
     The batched counterpart of :class:`DBM` used by the layered
-    breadth-first core: the member matrices live in a single pooled
-    ``(count, dim, dim)`` int64 buffer (``DBMStack.a``) and every kernel is
+    breadth-first core: the member matrices live in a single
+    ``(count, dim, dim)`` int64 array (``DBMStack.a``) and every kernel is
     one set of whole-stack numpy operations, amortising the per-call
     dispatch overhead of the scalar kernels over the whole block.
 
@@ -860,22 +812,28 @@ class DBMStack:
     The property-based test suite pins the element-wise agreement on random
     zone stacks.
 
-    Layers of an exhausted stack are lifted back into pooled single-zone
-    DBMs with :meth:`layer_dbm`; :meth:`discard` returns the block buffer to
-    the pool.
+    Layers are lifted back into single-zone DBMs with :meth:`layer_dbm`.
     """
 
-    __slots__ = ("count", "dim", "a", "_base")
+    __slots__ = ("count", "dim", "a")
 
     def __init__(self, count: int, dim: int):
         if count < 1:
             raise ModelError("DBMStack needs at least one layer")
         self.count = count
         self.dim = dim
-        self._base = _POOL.acquire_block(count, dim)
-        self.a = self._base[: count * dim * dim].reshape(count, dim, dim)
+        self.a = np.empty((count, dim, dim), dtype=np.int64)
 
     # -- constructors --------------------------------------------------------
+    @classmethod
+    def wrap(cls, a: np.ndarray) -> "DBMStack":
+        """Adopt the ``(count, dim, dim)`` int64 array *a* without copying it:
+        the kernels then update *a* in place."""
+        stack = cls.__new__(cls)
+        stack.count, stack.dim = len(a), a.shape[1]
+        stack.a = a
+        return stack
+
     @classmethod
     def from_zones(cls, zones: Sequence[DBM]) -> "DBMStack":
         """Stack copies of *zones* (which must share one dimension)."""
@@ -891,28 +849,16 @@ class DBMStack:
         return stack
 
     def copy(self) -> "DBMStack":
-        """An independent copy of the whole stack (pooled buffer)."""
-        out = DBMStack(self.count, self.dim)
-        np.copyto(out.a, self.a)
-        return out
+        """An independent copy of the whole stack."""
+        return DBMStack.wrap(self.a.copy())
 
     def compress(self, indices: np.ndarray) -> "DBMStack":
         """A new stack holding only the layers selected by *indices*."""
-        out = DBMStack(len(indices), self.dim)
-        np.copyto(out.a, self.a[indices])
-        return out
+        return DBMStack.wrap(self.a[indices])
 
     def layer_dbm(self, k: int) -> DBM:
-        """Lift layer *k* into an independent pooled :class:`DBM`."""
-        buffer = _POOL.acquire(self.dim)
-        buffer[:] = self.a[k].reshape(-1)
-        return DBM._wrap(self.dim, buffer)
-
-    def discard(self) -> None:
-        """Return the block buffer to the pool; the stack must not be reused."""
-        _POOL.release_block(self.dim, self._base)
-        self._base = None  # type: ignore[assignment]  -- fail loudly on reuse
-        self.a = None  # type: ignore[assignment]
+        """Lift layer *k* into an independent :class:`DBM`."""
+        return DBM(self.dim, raw=self.a[k])
 
     # -- predicates ----------------------------------------------------------
     def empties(self) -> np.ndarray:
@@ -988,7 +934,7 @@ class DBMStack:
         a = self.a
         s = _stack_scratch(self.count, self.dim)
         count = self.count
-        lowers = a[:, 0, clocks]  # (count, pairs) -- variable width, not pooled
+        lowers = a[:, 0, clocks]  # (count, pairs) -- variable width, no scratch
         sums = lowers + raws - ((lowers | raws) & 1)
         bad = ((lowers < INFINITY_RAW) & (sums < LE_ZERO)).any(axis=1)
         cols = a[:, :, clocks]  # (count, dim, pairs)
@@ -1041,9 +987,8 @@ class DBMStack:
     def close(self) -> "DBMStack":
         """Batched full closure of every layer (min-plus squaring / per-k).
 
-        Mirrors the ``auto`` backend of :meth:`DBM.close`: exact
-        Floyd-Warshall fixpoint for satisfiable layers, guaranteed empty
-        flag for unsatisfiable ones.
+        Like :meth:`DBM.close`: exact Floyd-Warshall fixpoint for
+        satisfiable layers, guaranteed empty flag for unsatisfiable ones.
         """
         a = self.a
         dim = self.dim
@@ -1138,10 +1083,7 @@ class DBMStack:
         if changed.all():
             return self.close()
         touched = np.flatnonzero(changed)
-        sub = self.compress(touched)
-        sub.close()
-        a[touched] = sub.a
-        sub.discard()
+        a[touched] = self.compress(touched).close().a
         return self
 
 

@@ -9,18 +9,20 @@ the clock valuations that witness a property violation.
 Storage
 -------
 The raw-bound matrices of the member zones are kept stacked row-wise in one
-preallocated numpy buffer that grows by doubling, so the passed-list
-inclusion check (the hottest operation of the reachability engine) is a
-single vectorised comparison against all stored zones at once, and inserting
-``N`` zones performs only ``O(N)`` total row copies (the seed implementation
-re-stacked the whole array on every insert, i.e. ``O(N^2)``).  The
-``stack_copies`` counter records the row copies actually performed; the test
-suite uses it to pin down the amortised bound.
+preallocated numpy buffer that grows by doubling, and that stack is the only
+copy of each member: :attr:`Federation.zones` and iteration build
+:class:`~repro.core.dbm.DBM` copies from the rows when asked.  The
+passed-list inclusion check (the hottest operation of the reachability
+engine) is a single vectorised comparison against all stored zones at once,
+and inserting ``N`` zones performs only ``O(N)`` total row copies (the seed
+implementation re-stacked the whole array on every insert, i.e.
+``O(N^2)``).  The ``stack_copies`` counter records the row copies actually
+performed; the test suite uses it to pin down the amortised bound.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,11 +41,10 @@ _COMPARE_BUDGET = 1 << 18
 class Federation:
     """A finite, redundancy-reduced union of :class:`~repro.core.dbm.DBM` zones."""
 
-    __slots__ = ("dim", "_zones", "_buf", "_n", "stack_copies")
+    __slots__ = ("dim", "_buf", "_n", "stack_copies")
 
     def __init__(self, dim: int, zones: Iterable[DBM] = ()):
         self.dim = dim
-        self._zones: list[DBM] = []
         #: row-stacked raw matrices of the member zones; rows ``[0:_n]`` valid
         self._buf: np.ndarray = np.empty((0, dim * dim), dtype=np.int64)
         self._n: int = 0
@@ -56,15 +57,15 @@ class Federation:
         return self._n
 
     def __iter__(self) -> Iterator[DBM]:
-        return iter(self._zones)
+        return iter(self.zones)
 
     def __bool__(self) -> bool:
         return self._n > 0
 
     @property
     def zones(self) -> tuple[DBM, ...]:
-        """The member zones (read-only view)."""
-        return tuple(self._zones)
+        """Copies of the member zones, in stack order."""
+        return tuple(DBM(self.dim, raw=row) for row in self._buf[: self._n])
 
     # -- mutation -----------------------------------------------------------------
     def add(self, zone: DBM) -> bool:
@@ -88,7 +89,7 @@ class Federation:
             if (diff >= 0).all(axis=1).any():
                 return False  # covered by an existing zone
             self._evict_covered((diff <= 0).all(axis=1))
-        self._append(zone, candidate)
+        self._append(candidate)
         return True
 
     def add_uncovered(self, zone: DBM) -> None:
@@ -99,36 +100,42 @@ class Federation:
         ``Explorer._store``), so re-testing it here would be wasted work.
         Stored zones that the new zone covers are still evicted.
         """
-        candidate = zone.m
+        self._append_uncovered(zone.m)
+
+    def _append_uncovered(self, candidate: np.ndarray) -> None:
         if self._n:
             stack = self._buf[: self._n]
             self._evict_covered((stack <= candidate).all(axis=1))
-        self._append(zone, candidate)
+        self._append(candidate)
 
-    def add_many_uncovered(self, zones: "Sequence[DBM]") -> None:
+    def add_many_uncovered(self, stack: np.ndarray) -> None:
         """Batched :meth:`add_uncovered` for a run of pre-screened zones.
 
-        Semantically identical to calling ``add_uncovered`` on each zone in
-        list order: the caller certifies (as for :meth:`add_uncovered`) that
-        each zone was non-empty and not covered by any member present *at
-        its turn* -- including the earlier zones of the batch.  Eviction is
-        collapsed into one pass: previously stored members covered by any
-        batch zone are dropped, and a batch zone covered by a *later* batch
-        zone is dropped before insertion (exactly the members sequential
-        adds would have evicted; relative order is preserved on both sides).
+        ``stack`` holds one raw-bound matrix per zone, shaped like the
+        argument of :meth:`covers_many`.  Semantically identical to calling
+        ``add_uncovered`` on each zone in order: the caller certifies (as
+        for :meth:`add_uncovered`) that each zone was non-empty and not
+        covered by any member present *at its turn* -- including the
+        earlier zones of the batch.  Eviction is collapsed into one pass:
+        previously stored members covered by any batch zone are dropped,
+        and a batch zone covered by a *later* batch zone is dropped before
+        insertion (exactly the members sequential adds would have evicted;
+        relative order is preserved on both sides).
 
         Used by the decide step of the layered core, which screens a round's
         candidates with :meth:`covers_many` + within-round screens and then
-        flushes each target federation once.
+        flushes each target federation once with the stored rows.
         """
-        if not zones:
+        if not len(stack):
             return
-        if len(zones) == 1:
-            self.add_uncovered(zones[0])
+        rows = stack.reshape(len(stack), -1)  # (k, dim * dim)
+        if rows.shape[1] != self.dim * self.dim:
+            raise ModelError("stack dimension does not match federation dimension")
+        if len(rows) == 1:
+            self._append_uncovered(rows[0])
             return
-        rows = np.stack([zone.m for zone in zones])  # (k, dim * dim)
         if self._n:
-            stack = self._buf[: self._n]
+            members = self._buf[: self._n]
             # chunk the (k, n, dim^2) broadcast like covers_many does, so a
             # large batch against a grown federation cannot spike memory
             chunk = max(1, _COMPARE_BUDGET // (self._n * rows.shape[1]))
@@ -136,7 +143,7 @@ class Federation:
             for start in range(0, len(rows), chunk):
                 block = rows[start : start + chunk]
                 doomed_members |= (
-                    (stack[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=0)
+                    (members[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=0)
                 )
             self._evict_covered(doomed_members)
         # within the batch: zone i is evicted by any *later* zone that covers
@@ -150,10 +157,10 @@ class Federation:
             includes = (rows[start:stop, None, :] <= rows[None, :, :]).all(axis=2)
             later = np.arange(start, stop)[:, None] < np.arange(k)[None, :]
             doomed[start:stop] = (includes & later).any(axis=1)
-        self._grow(self._n + int(len(zones) - doomed.sum()))
-        for zone, dead in zip(zones, doomed):
-            if not dead:
-                self._append(zone, zone.m)
+        kept = rows[~doomed]
+        self._grow(self._n + len(kept))
+        self._buf[self._n : self._n + len(kept)] = kept
+        self._n += len(kept)
 
     def _evict_covered(self, covered: np.ndarray) -> None:
         """Drop the stored zones flagged in the boolean row mask *covered*."""
@@ -162,15 +169,13 @@ class Federation:
             kept = int(keep.sum())
             self._buf[:kept] = self._buf[: self._n][keep]
             self.stack_copies += kept
-            self._zones = [z for z, k in zip(self._zones, keep) if k]
             self._n = kept
 
-    def _append(self, zone: DBM, candidate: np.ndarray) -> None:
+    def _append(self, candidate: np.ndarray) -> None:
         n = self._n
         if n == len(self._buf):
             self._grow(n + 1)
         self._buf[n] = candidate
-        self._zones.append(zone)
         self._n = n + 1
 
     def add_many(self, zones: Iterable[DBM]) -> int:
@@ -267,11 +272,11 @@ class Federation:
 
     def intersects(self, zone: DBM) -> bool:
         """True when at least one member zone intersects *zone*."""
-        return any(member.intersects(zone) for member in self._zones)
+        return any(member.intersects(zone) for member in self.zones)
 
     def contains_point(self, point) -> bool:
         """True when some member zone contains the concrete valuation."""
-        return any(member.contains_point(point) for member in self._zones)
+        return any(member.contains_point(point) for member in self.zones)
 
     def upper_bound(self, clock: int) -> int:
         """Largest raw upper bound of *clock* over all member zones."""
@@ -279,16 +284,8 @@ class Federation:
             raise ModelError("empty federation has no bounds")
         return int(self._buf[: self._n, clock * self.dim].max())
 
-    # -- invariants --------------------------------------------------------------------
-    def check_consistent(self) -> None:
-        """Raise ``AssertionError`` when zone list and stack disagree (tests)."""
-        assert self._n == len(self._zones), "stack row count != zone count"
-        assert self._n <= len(self._buf), "stack row count exceeds capacity"
-        for row, zone in zip(self._buf[: self._n], self._zones):
-            assert np.array_equal(row, zone.m), "stack row diverged from its zone"
-
     def __str__(self) -> str:
-        return " U ".join(str(zone) for zone in self._zones) or "(empty)"
+        return " U ".join(str(zone) for zone in self.zones) or "(empty)"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Federation(dim={self.dim}, size={len(self)})"

@@ -275,7 +275,6 @@ class BoundFormula:
                 if not constraint.apply(zone, net.clock_index, env):
                     satisfied = False
                     break
-            zone.discard()
             if satisfied:
                 return True
         return False

@@ -17,10 +17,10 @@ Search orders:
   the budget.
 
 Breadth-first queries (``sup``, ``check``, ``count_states``) run on the
-layer-synchronous core of :mod:`repro.core.shard`, in-process; dfs/rdfs,
-explorations without inclusion checking and raw ``visit`` callables run on
-the scalar loop of :meth:`Explorer._explore_scalar`, which is also the
-equality oracle of the layered core.
+layer-synchronous core of :mod:`repro.core.shard`, in-process; dfs/rdfs and
+raw ``visit`` callables run on the scalar loop of
+:meth:`Explorer._explore_scalar`, which is also the equality oracle of the
+layered core.
 
 Budgets (``max_states``, ``max_seconds``) make the engine stop early and mark
 the result as partial instead of raising, because partial exploration is a
@@ -78,8 +78,6 @@ class SearchOptions:
     deadline: float | None = None
     #: seed of the random generator used by "rdfs"
     seed: int = 0
-    #: discard successors whose zone is included in an already stored zone
-    inclusion_checking: bool = True
     #: keep parent pointers so that witness/counterexample traces can be built
     record_traces: bool = True
     #: which state-space reductions the engine may apply; accepts a
@@ -89,8 +87,8 @@ class SearchOptions:
     reductions: ReductionConfig | str | dict | None = None
     #: key partitions of the layered breadth-first core that
     #: :func:`repro.core.shard.select_explorer` forks into worker processes;
-    #: 0 and 1 run the core in-process.  Forking requires bfs order with
-    #: inclusion checking and ``os.fork`` (see ``docs/performance.md``)
+    #: 0 and 1 run the core in-process.  Forking requires bfs order and
+    #: ``os.fork`` (see ``docs/performance.md``)
     shard_workers: int = 0
 
     def __post_init__(self):
@@ -318,9 +316,9 @@ class Explorer:
         callable called on every new symbolic state, and may return
         ``True`` to stop the search (goal found).
 
-        A breadth-first exploration with inclusion checking runs on the
-        layered core, unless *visit* is a raw callable (the core cannot
-        evaluate one).  Anything else runs the scalar loop.
+        A breadth-first exploration runs on the layered core, unless
+        *visit* is a raw callable (the core cannot evaluate one).  Anything
+        else runs the scalar loop.
         """
         layered = self._layered_spec(visit, spec)
         if layered is None:
@@ -332,7 +330,7 @@ class Explorer:
 
     def _layered_spec(self, visit, spec: _EvalSpec | None) -> _EvalSpec | None:
         """The spec the layered core runs with, or None for the scalar loop."""
-        if self.search.order != "bfs" or not self.search.inclusion_checking:
+        if self.search.order != "bfs":
             return None
         if spec is None:
             # a raw visit callable cannot be evaluated inside the core
@@ -422,24 +420,11 @@ class Explorer:
             for label, successor in successors:
                 stats.transitions += 1
                 successor = self._canonical(successor, stats)
-                if options.inclusion_checking:
-                    if not self._store(passed, successor):
-                        stats.inclusions += 1
-                        if self._lu_active:
-                            stats.states_subsumed_lu += 1
-                        successor.zone.discard()
-                        continue
-                else:
-                    self.generator.extrapolate(successor.zone)
-                    key = (successor.discrete_bytes(), successor.zone.key())
-                    federation = passed.setdefault(key, Federation(successor.zone.dim))
-                    if len(federation):
-                        stats.inclusions += 1
-                        if self._lu_active:
-                            stats.states_subsumed_lu += 1
-                        successor.zone.discard()
-                        continue
-                    federation.add(successor.zone)
+                if not self._store(passed, successor):
+                    stats.inclusions += 1
+                    if self._lu_active:
+                        stats.states_subsumed_lu += 1
+                    continue
                 stats.states_stored += 1
                 child = _SearchNode(
                     successor, node if record_traces else _UNRECORDED, label

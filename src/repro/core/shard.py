@@ -1,21 +1,21 @@
 """The layer-synchronous breadth-first core: the one BFS engine.
 
-Every breadth-first query with inclusion checking runs here.  The passed
-and waiting stores are split into *partitions* by a stable hash of the
-interned discrete key (``crc32(key) % workers``); the owner partition holds
-the key's :class:`~repro.core.federation.Federation` and makes every
-store/coverage decision for it.  A :class:`_Partition` knows nothing about
+Every breadth-first query runs here.  The passed and waiting stores are
+split into *partitions* by a stable hash of the interned discrete key
+(``crc32(key) % workers``); the owner partition holds the key's
+:class:`~repro.core.federation.Federation` and makes every store/coverage
+decision for it.  A :class:`_Partition` knows nothing about
 transport, and two transports drive the same class:
 
 * **in-process** (``shard_workers`` 0 or 1, :class:`_LocalFleet`): one
   partition owns every key and the coordinator calls it directly -- no
-  fork, no pipes, no shared memory, no stealing;
+  fork, no pipes, no stealing;
 * **forked** (``shard_workers >= 2``, :class:`_ForkedFleet` behind
   :class:`ShardedExplorer`): one worker process per partition
-  (:class:`_ShardWorker`); candidates whose target key lives on another
-  partition travel through per-worker
-  :class:`~repro.core.zonepool.SharedZonePool` outboxes (the pipes carry
-  only ``(offset, count)`` descriptors).
+  (:class:`_ShardWorker`); the rows of the candidates a worker hands to
+  one other partition travel as one contiguous array in its pickled expand
+  reply, which the coordinator forwards in that partition's decide
+  message (each candidate group carries its offset into the array).
 
 Round protocol
 --------------
@@ -87,7 +87,7 @@ from array import array
 
 import numpy as np
 
-from repro.core.dbm import DBM, DBMStack
+from repro.core.dbm import _MAX_STACK_ROWS, DBM, DBMStack
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
 from repro.core.reachability import (
@@ -98,7 +98,6 @@ from repro.core.reachability import (
 )
 from repro.core.statistics import ExplorationStatistics
 from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
-from repro.core.zonepool import _MAX_POOLED_ROWS, SharedZonePool
 from repro.util.errors import AnalysisError
 
 __all__ = ["ShardedExplorer", "explore_layered", "select_explorer"]
@@ -106,9 +105,6 @@ __all__ = ["ShardedExplorer", "explore_layered", "select_explorer"]
 #: frontier imbalance (richest minus poorest partition) above which the
 #: coordinator ships half the surplus; tests shrink it to force steals
 _STEAL_THRESHOLD = 64
-
-#: rows per worker outbox segment; larger hand-off bursts spill inline
-_OUTBOX_ROWS = 8192
 
 #: expansions per round while a time budget is set (the deadline is checked
 #: between rounds, so this bounds the overshoot; docs/performance.md gives
@@ -243,6 +239,8 @@ class _KeyContext:
 
     def __init__(self, key, locations, variables):
         self.key = key
+        #: rows of the decide step's extrapolated array stored under this
+        #: key, in tag order
         self.pending = []
         self.locations = locations
         self.variables = variables
@@ -305,14 +303,14 @@ class _Partition:
                 key, SymbolicState(locations, variables, zone, key)
             )
 
-        # same-key runs of at most one pooled block each, so the batched
+        # same-key runs of at most _MAX_STACK_ROWS each, so the batched
         # kernels never allocate round-sized buffers
         blocks: list[list] = []
         open_blocks: dict[bytes, list] = {}
         for seq in sorted(seq for seq in self.frontier if seq < upto):
             key, state = self.frontier.pop(seq)
             block = open_blocks.get(key)
-            if block is None or len(block) == _MAX_POOLED_ROWS:
+            if block is None or len(block) == _MAX_STACK_ROWS:
                 block = open_blocks[key] = []
                 blocks.append(block)
             block.append((seq, state))
@@ -344,8 +342,7 @@ class _Partition:
                         key_bytes = pack_discrete(locations, variables)
                         folded = True
                 parent_seqs = seqs[fire.node_indices]
-                rows = fire.stack.a.reshape(len(parent_seqs), -1).copy()
-                fire.stack.discard()
+                rows = fire.stack.a.reshape(len(parent_seqs), -1)
                 candidates = (key_bytes, fire.plan_index, folded, parent_seqs, rows)
                 dest = _owner_of(key_bytes, self.workers)
                 if dest == self.rank:
@@ -434,23 +431,20 @@ class _Partition:
                 total_layers += len(survivors)
             prepared.append((key, refs, decision, survivors, sub, offset))
 
-        # the survivors of every key in one array, extrapolated in pooled
-        # chunks: the grids are global and each layer's kernels independent,
-        # so batching across keys amortises the per-stack dispatch cost
-        # without round-sized kernel scratch
+        # the survivors of every key in one array, extrapolated in place in
+        # chunks of _MAX_STACK_ROWS: the grids are global and each layer's
+        # kernels independent, so batching across keys amortises the
+        # per-stack dispatch cost without round-sized kernel scratch
         flat_all = None
         if total_layers:
             flat_all = np.empty((total_layers, self.dim * self.dim), dtype=np.int64)
             for _key, _refs, _decision, survivors, sub, offset in prepared:
                 if survivors is not None and len(survivors):
                     flat_all[offset:offset + len(survivors)] = sub
-            for start in range(0, total_layers, _MAX_POOLED_ROWS):
-                chunk = flat_all[start:start + _MAX_POOLED_ROWS]
-                stack = DBMStack(len(chunk), self.dim)
-                stack.a.reshape(len(chunk), -1)[:] = chunk
-                self.generator.extrapolate_stack(stack)
-                chunk[:] = stack.a.reshape(len(chunk), -1)
-                stack.discard()
+            cube = flat_all.reshape(total_layers, self.dim, self.dim)
+            for start in range(0, total_layers, _MAX_STACK_ROWS):
+                chunk = cube[start:start + _MAX_STACK_ROWS]
+                self.generator.extrapolate_stack(DBMStack.wrap(chunk))
 
         contexts: list[_KeyContext] = []
         zone_context: list = [None] * total
@@ -492,8 +486,9 @@ class _Partition:
         goal_tag = None
         for index in np.flatnonzero(stored).tolist():
             context = zone_context[index]
-            zone = DBM(self.dim, raw=flat_all[zone_layer[index]])
-            context.pending.append(zone)
+            layer = zone_layer[index]
+            context.pending.append(layer)
+            zone = DBM(self.dim, raw=flat_all[layer])
             state = SymbolicState(
                 context.locations, context.variables, zone, context.key
             )
@@ -512,7 +507,7 @@ class _Partition:
                 if federation is None:
                     federation = Federation(self.dim)
                     self.passed[context.key] = federation
-                federation.add_many_uncovered(context.pending)
+                federation.add_many_uncovered(flat_all[context.pending])
         return parents, plans, stored, folded_mask, goal_tag, self.sup_best
 
     # -------------------------------------------------------------- stealing
@@ -544,21 +539,22 @@ class _LocalFleet:
         return [self.partition.expand(upto, assignments[0])]
 
     def decide(self, incoming) -> list:
-        return [self.partition.decide([group for _src, group in incoming[0]])]
+        # the one partition owns every key: nothing is ever handed over
+        return [self.partition.decide(())]
 
 
 class _ShardWorker:
     """The forked side of one partition: the round protocol over a pipe pair.
 
-    Hand-off rows travel through the shared zone pool; everything else is
-    the partition's own work.
+    Packs the rows of the groups handed to each other partition into one
+    array (:meth:`_expand`) and unpacks the arrays handed to this one
+    (:meth:`_unpack`); everything else is the partition's own work.
     """
 
-    def __init__(self, partition, read_fd, write_fd, pool, attempt):
+    def __init__(self, partition, read_fd, write_fd, attempt):
         self.partition = partition
         self.read_fd = read_fd
         self.write_fd = write_fd
-        self.pool = pool
         self.attempt = attempt
         self._injected = False
 
@@ -571,8 +567,7 @@ class _ShardWorker:
                 if tag == "expand":
                     reply = ("expanded", *self._expand(*message[1:]))
                 elif tag == "decide":
-                    groups = [self._resolve(src, group) for src, group in message[1]]
-                    reply = ("decided", *partition.decide(groups))
+                    reply = ("decided", *partition.decide(self._unpack(message[1])))
                 elif tag == "ship":
                     reply = ("shipped", partition.ship(message[1], message[2]))
                 else:  # pragma: no cover - protocol bug
@@ -602,21 +597,24 @@ class _ShardWorker:
 
             maybe_inject(f"shard/{rank}", rank, self.attempt, stage="shard")
         outgoing, error, handoffs = self.partition.expand(upto, assigned, stolen)
-        offset = 0
-        for groups in outgoing.values():
-            for index, (key, plan_index, folded, parent_seqs, rows) in enumerate(groups):
-                if self.pool.write(rank, offset, rows):
-                    ref = ("shm", offset, len(rows))
-                    offset += len(rows)
-                else:
-                    ref = ("inline", rows)
-                groups[index] = (key, plan_index, folded, parent_seqs, ref)
-        return outgoing, error, handoffs
+        parcels = {}
+        for dest, groups in outgoing.items():
+            refs, offset = [], 0
+            for key, plan_index, folded, parent_seqs, rows in groups:
+                refs.append((key, plan_index, folded, parent_seqs, offset))
+                offset += len(rows)
+            parcels[dest] = (np.concatenate([group[4] for group in groups]), refs)
+        return parcels, error, handoffs
 
-    def _resolve(self, src, group) -> tuple:
-        key, plan_index, folded, parent_seqs, ref = group
-        rows = self.pool.read(src, ref[1], ref[2]) if ref[0] == "shm" else ref[1]
-        return key, plan_index, folded, parent_seqs, rows
+    @staticmethod
+    def _unpack(parcels) -> list:
+        """The candidate groups of the ``(rows, refs)`` parcels handed over."""
+        return [
+            (key, plan_index, folded, parent_seqs,
+             rows[offset:offset + len(parent_seqs)])
+            for rows, refs in parcels
+            for key, plan_index, folded, parent_seqs, offset in refs
+        ]
 
 
 class _Handle:
@@ -637,7 +635,6 @@ class _ForkedFleet:
     def __init__(self, workers: int):
         self.workers = workers
         self.handles: list[_Handle] = []
-        self.pool: SharedZonePool | None = None
 
     def start(self, explorer, spec, initial, root_key, attempt) -> None:
         # warm the fault-injection module before forking so every worker
@@ -646,7 +643,6 @@ class _ForkedFleet:
         # be a circular import at module scope)
         from repro.sweep.faults import maybe_inject  # noqa: F401
 
-        self.pool = SharedZonePool(self.workers, explorer.network.dim, rows=_OUTBOX_ROWS)
         for rank in range(self.workers):
             child_read, parent_write = os.pipe()
             parent_read, child_write = os.pipe()
@@ -661,8 +657,7 @@ class _ForkedFleet:
                     os.close(handle.write_fd)
                 partition = _Partition(rank, self.workers, explorer, spec,
                                        initial, root_key)
-                _ShardWorker(partition, child_read, child_write, self.pool,
-                             attempt).run()
+                _ShardWorker(partition, child_read, child_write, attempt).run()
                 os._exit(0)  # pragma: no cover - run() never returns
             os.close(child_read)
             os.close(child_write)
@@ -710,9 +705,6 @@ class _ForkedFleet:
             except OSError:
                 pass
         self.handles = []
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
 
 
 # ------------------------------------------------------------------ coordinator
@@ -826,16 +818,16 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_key,
 
         error = None
         incoming: list[list] = [[] for _ in range(workers)]
-        for src, (outgoing, worker_error, handoffs) in enumerate(
-            fleet.expand(upto, assignments, stolen)
+        for outgoing, worker_error, handoffs in fleet.expand(
+            upto, assignments, stolen
         ):
             stats.shard_handoffs += handoffs
             if worker_error is not None and (
                 error is None or worker_error[0] < error[0]
             ):
                 error = worker_error
-            for dest, groups in outgoing.items():
-                incoming[dest].extend((src, group) for group in groups)
+            for dest, parcel in outgoing.items():
+                incoming[dest].append(parcel)
         decided = fleet.decide(incoming)
 
         parents = np.concatenate([reply[0] for reply in decided])
@@ -993,9 +985,9 @@ class ShardedExplorer(Explorer):
     With ``SearchOptions.shard_workers >= 2`` every layered exploration runs
     on that many forked worker processes, supervised: a crashed worker
     restarts the whole exploration once (:attr:`restarts` counts it).  What
-    the layered core does not run (non-bfs orders, no inclusion checking,
-    raw ``visit`` callables), fewer than two workers, and platforms without
-    ``os.fork`` run exactly as on :class:`Explorer`.
+    the layered core does not run (non-bfs orders, raw ``visit``
+    callables), fewer than two workers, and platforms without ``os.fork``
+    run exactly as on :class:`Explorer`.
     """
 
     def __init__(
@@ -1035,14 +1027,9 @@ def select_explorer(
     search: SearchOptions | None = None,
 ) -> Explorer:
     """The right explorer for *search*: forked partitions when it asks for two
-    or more workers and can have them (bfs, inclusion checking, ``os.fork``),
-    the in-process :class:`Explorer` otherwise."""
+    or more workers and can have them (bfs, ``os.fork``), the in-process
+    :class:`Explorer` otherwise."""
     search = search or SearchOptions()
-    if (
-        search.shard_workers >= 2
-        and search.order == "bfs"
-        and search.inclusion_checking
-        and hasattr(os, "fork")
-    ):
+    if search.shard_workers >= 2 and search.order == "bfs" and hasattr(os, "fork"):
         return ShardedExplorer(network, semantics, search)
     return Explorer(network, semantics, search)

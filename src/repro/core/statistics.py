@@ -2,8 +2,9 @@
 
 The paper discusses verification effort (state-space sizes, the event models
 for which exhaustive search becomes infeasible, the fall-back to depth-first
-"structured testing").  These counters are what the corresponding benchmark
-(``benchmarks/bench_exploration_effort.py``) reports.
+"structured testing").  These counters are what the exploration-effort
+benchmark (``test_exploration_effort`` in
+``benchmarks/bench_templates_and_ablation.py``) reports.
 """
 
 from __future__ import annotations

@@ -550,9 +550,8 @@ class SuccessorGenerator:
     ) -> SymbolicState | None:
         """Apply invariants and, unless urgent, the delay closure.
 
-        Takes ownership of *zone*: its buffer is returned to the pool when
-        the state dies here.  With ``extrapolate=False`` the caller is
-        expected to run :meth:`extrapolate` on the zones it keeps.
+        Takes ownership of *zone*.  With ``extrapolate=False`` the caller
+        is expected to run :meth:`extrapolate` on the zones it keeps.
         """
         info = self._discrete_info(locations, variables)
         m, dim = zone.m, zone.dim
@@ -560,7 +559,6 @@ class SuccessorGenerator:
             # cheap no-op filter: the fired zone usually satisfies the target
             # invariants already (constrain would re-check and return True)
             if raw < m[i * dim + j] and not zone.constrain(i, j, raw):
-                zone.discard()
                 return None
         if not info.urgent:
             # ``up`` preserves the canonical form; the upper-bound invariants
@@ -568,11 +566,9 @@ class SuccessorGenerator:
             # difference/lower-bound invariants (rare) close incrementally
             zone.up()
             if not zone.impose_upper_bounds(info.upper_clocks, info.upper_raws, info.upper_pairs):
-                zone.discard()
                 return None
             for i, j, raw in info.other_invariants:
                 if not zone.constrain(i, j, raw):
-                    zone.discard()
                     return None
         if extrapolate:
             self.extrapolate(zone)
@@ -608,10 +604,8 @@ class SuccessorGenerator:
         zone = source.copy()
         for i, j, raw in plan.guards:
             if not zone.constrain(i, j, raw):
-                zone.discard()
                 return None
         if plan.error is not None:
-            zone.discard()
             # reset the cached instance's traceback so repeated fires do not
             # accumulate frames from earlier raises
             raise plan.error.with_traceback(None)
@@ -716,9 +710,7 @@ class SuccessorGenerator:
                     fires.append(BlockFire(plan, index, None, only, plan.error))
                     continue
                 if successor is not None:
-                    stack = DBMStack(1, successor.zone.dim)
-                    stack.a[0] = successor.zone.m2
-                    successor.zone.discard()
+                    stack = DBMStack.wrap(successor.zone.m2[None])
                     fires.append(BlockFire(plan, index, stack, only, None))
             return info, fires
         all_indices = np.arange(len(states), dtype=np.intp)
@@ -746,18 +738,14 @@ class SuccessorGenerator:
                 # deferred evaluation error: fires whose guards pass must
                 # re-raise when their state is expanded (scalar semantics)
                 passing = np.flatnonzero(alive)
-                work.discard()
                 if len(passing):
                     fires.append(BlockFire(plan, index, None, indices[passing], plan.error))
                 continue
             if not alive.all():
                 survivors = np.flatnonzero(alive)
                 if not len(survivors):
-                    work.discard()
                     continue
-                compacted = work.compress(survivors)
-                work.discard()
-                work = compacted
+                work = work.compress(survivors)
                 indices = indices[survivors]
             for clock, value in plan.resets:
                 work.reset(clock, value)
@@ -776,12 +764,8 @@ class SuccessorGenerator:
             if not alive.all():
                 survivors = np.flatnonzero(alive)
                 if not len(survivors):
-                    work.discard()
                     continue
-                compacted = work.compress(survivors)
-                work.discard()
-                work = compacted
+                work = work.compress(survivors)
                 indices = indices[survivors]
             fires.append(BlockFire(plan, index, work, indices, None))
-        source.discard()
         return info, fires

@@ -16,7 +16,7 @@ independent, so this package runs them as a multiprocess sweep:
 * :mod:`repro.sweep.cli` -- the ``repro-sweep`` console entry point.
 
 See ``docs/performance.md`` ("Batched frontier & parallel sweeps") for the
-workflow and the safety notes on per-worker zone pools, and
+workflow and the safety notes on per-worker kernel caches, and
 ``docs/robustness.md`` for the supervision model.
 """
 

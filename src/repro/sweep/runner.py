@@ -5,13 +5,12 @@ processes and aggregates the results into a ``repro-bench-v1`` trajectory
 (:mod:`repro.perf.trajectory`).  Design points:
 
 * **Spawn-safe workers.**  The default start method is ``spawn``: workers
-  import :mod:`repro` afresh, so every process owns a private zone pool,
+  import :mod:`repro` afresh, so every process owns a private
   scratch-buffer cache and discrete-plan memo -- nothing is shared, nothing
   can alias.  ``fork`` (cheaper on Linux) is also supported; the worker
-  initialiser then re-initialises the process-wide pool and kernel caches
-  (:func:`repro.core.zonepool.reset_global_pool`,
-  :func:`repro.core.dbm.reset_process_caches` -- both also registered as
-  ``os.register_at_fork`` hooks) so a worker never runs on free lists
+  initialiser then empties the kernel caches
+  (:func:`repro.core.dbm.reset_process_caches`, also registered as an
+  ``os.register_at_fork`` hook) so a worker never runs on caches
   snapshotted mid-mutation from the parent.
 * **Cells in, primitives out.**  Cells carry only strings and ints; results
   come back as flat :class:`CellResult` records (verdicts, state counts,
@@ -210,17 +209,15 @@ def _worker_model(path: str):
 
 
 def _worker_init() -> None:
-    """Initialise a sweep worker: private pool, empty kernel caches.
+    """Initialise a sweep worker: empty kernel caches and model cache.
 
     Under ``spawn`` this is a cheap no-op (the fresh interpreter starts
     empty); under ``fork`` it re-establishes the invariants of the inherited
-    module state, complementing the ``os.register_at_fork`` hooks for pool
+    module state, complementing the ``os.register_at_fork`` hook for pool
     implementations spawned through other entry points.
     """
     from repro.core.dbm import reset_process_caches
-    from repro.core.zonepool import reset_global_pool
 
-    reset_global_pool()
     reset_process_caches()
     _MODEL_CACHE.clear()
 

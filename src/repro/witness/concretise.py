@@ -16,7 +16,7 @@ constraint over the ``T_k``: with ``(r, v)`` the step index and value of the
 last reset of clock ``x`` before transition ``k``, the value of ``x`` at
 ``T_k`` is ``v + T_k - T_r``, so a guard ``x_i - x_j ⋈ c`` becomes
 ``T_{r_j} - T_{r_i} ⋈ c - v_i + v_j`` — one entry of the schedule DBM.  This
-exploits the existing pooled int64 DBM kernels (the incremental rank-1
+exploits the existing int64 DBM kernels (the incremental rank-1
 ``constrain``), so concretising even long traces stays a handful of
 vectorised operations per constraint.
 
@@ -97,7 +97,7 @@ class Concretisation:
 def _schedule_dim(count: int) -> int:
     """Round the schedule-DBM dimension up to a power of two.
 
-    The pooled DBM kernels cache scratch buffers per dimension; traces come
+    The DBM kernels cache scratch buffers per dimension; traces come
     in arbitrary lengths, so rounding keeps the set of live scratch sizes
     logarithmic instead of one per trace length.  The unused trailing
     variables stay unconstrained and never affect the used entries.
@@ -142,9 +142,6 @@ class _ScheduleSystem:
             raise WitnessError(
                 f"internal error: fixing T_{k} = {value} emptied the schedule system"
             )
-
-    def discard(self) -> None:
-        self.dbm.discard()
 
 
 def _matched_plans(generator: SuccessorGenerator, trace: Trace) -> list:
@@ -235,70 +232,67 @@ def concretise_trace(
     ]
 
     system = _ScheduleSystem(n + 1)
-    try:
-        #: per network clock: (transition index of last reset, reset value)
-        records: list[tuple[int, int]] = [(0, 0)] * network.dim
+    #: per network clock: (transition index of last reset, reset value)
+    records: list[tuple[int, int]] = [(0, 0)] * network.dim
 
-        def apply(i: int, j: int, raw: int, t: int, what: str) -> None:
-            var_i, off_i = _clock_term(records, t, i)
-            var_j, off_j = _clock_term(records, t, j)
-            system.constrain(var_j, var_i, raw - 2 * off_i + 2 * off_j, what)
+    def apply(i: int, j: int, raw: int, t: int, what: str) -> None:
+        var_i, off_i = _clock_term(records, t, i)
+        var_j, off_j = _clock_term(records, t, j)
+        system.constrain(var_j, var_i, raw - 2 * off_i + 2 * off_j, what)
 
-        # invariants of the initial state hold at its entry (time 0)
-        for i, j, raw in infos[0].invariants:
-            apply(i, j, raw, 0, "initial invariant")
+    # invariants of the initial state hold at its entry (time 0)
+    for i, j, raw in infos[0].invariants:
+        apply(i, j, raw, 0, "initial invariant")
 
-        for k in range(1, n + 1):
-            check_deadline(k, "building constraints")
-            plan = plans[k - 1]
-            system.constrain(k - 1, k, LE_ZERO, f"time monotonicity at step {k}")
-            if infos[k - 1].urgent:
-                # no delay in urgent states (committed/urgent locations,
-                # enabled urgent-channel synchronisations)
-                system.constrain(k, k - 1, LE_ZERO, f"urgency of state {k - 1}")
-            # the source state's upper-bound invariants must survive the
-            # delay, i.e. still hold at the exit instant (lower-bound and
-            # difference invariants are monotone/constant under delay and
-            # were imposed at entry)
-            for i, j, raw in infos[k - 1].invariants:
-                if j == 0:
-                    apply(i, j, raw, k, f"invariant of state {k - 1} at exit")
-            for i, j, raw in plan.guards:
-                apply(i, j, raw, k, f"guard of step {k}")
-            for clock, value in plan.resets:
-                records[clock] = (k, value)
-            for i, j, raw in infos[k].invariants:
-                apply(i, j, raw, k, f"invariant of state {k} at entry")
+    for k in range(1, n + 1):
+        check_deadline(k, "building constraints")
+        plan = plans[k - 1]
+        system.constrain(k - 1, k, LE_ZERO, f"time monotonicity at step {k}")
+        if infos[k - 1].urgent:
+            # no delay in urgent states (committed/urgent locations,
+            # enabled urgent-channel synchronisations)
+            system.constrain(k, k - 1, LE_ZERO, f"urgency of state {k - 1}")
+        # the source state's upper-bound invariants must survive the
+        # delay, i.e. still hold at the exit instant (lower-bound and
+        # difference invariants are monotone/constant under delay and
+        # were imposed at entry)
+        for i, j, raw in infos[k - 1].invariants:
+            if j == 0:
+                apply(i, j, raw, k, f"invariant of state {k - 1} at exit")
+        for i, j, raw in plan.guards:
+            apply(i, j, raw, k, f"guard of step {k}")
+        for clock, value in plan.resets:
+            records[clock] = (k, value)
+        for i, j, raw in infos[k].invariants:
+            apply(i, j, raw, k, f"invariant of state {k} at entry")
 
-        if final_clock_values:
-            for clock, value in final_clock_values.items():
-                var, off = _clock_term(records, n, clock)
-                system.constrain(n, var, bound(value - off),
-                                 f"pinned final value of clock {clock}")
-                system.constrain(var, n, bound(-(value - off)),
-                                 f"pinned final value of clock {clock}")
+    if final_clock_values:
+        for clock, value in final_clock_values.items():
+            var, off = _clock_term(records, n, clock)
+            system.constrain(n, var, bound(value - off),
+                             f"pinned final value of clock {clock}")
+            system.constrain(var, n, bound(-(value - off)),
+                             f"pinned final value of clock {clock}")
 
-        # fix the times front to back; the schedule DBM stays canonical, so
-        # any integer within the current bounds keeps the tail feasible
-        times = [0] * (n + 1)
-        for k in range(1, n + 1):
-            check_deadline(k, "fixing firing times")
-            lo, hi = system.bounds(k)
-            if hi is not None and hi < lo:
-                raise WitnessError(
-                    f"no integer firing time exists for transition {k} "
-                    f"(bounds collapsed to ({lo}, {hi}))"
-                )
-            if strategy == "earliest" or hi is None:
-                value = lo
-            elif strategy == "latest":
-                value = hi
-            else:  # midpoint
-                value = (lo + hi) // 2
-            system.fix(k, value)
-            times[k] = value
-    finally:
-        system.discard()
+    # fix the times front to back; the schedule DBM stays canonical, so
+    # any integer within the current bounds keeps the tail feasible
+    times = [0] * (n + 1)
+    for k in range(1, n + 1):
+        check_deadline(k, "fixing firing times")
+        lo, hi = system.bounds(k)
+        if hi is not None and hi < lo:
+            raise WitnessError(
+                f"no integer firing time exists for transition {k} "
+                f"(bounds collapsed to ({lo}, {hi}))"
+            )
+        if strategy == "earliest" or hi is None:
+            value = lo
+        elif strategy == "latest":
+            value = hi
+        else:  # midpoint
+            value = (lo + hi) // 2
+        system.fix(k, value)
+        times[k] = value
 
     # replay the reset records against the fixed times to obtain the
     # concrete clock valuations around every transition

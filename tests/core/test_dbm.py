@@ -1,20 +1,23 @@
 """Tests of the DBM (zone) library."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbm import (
+    _SQUARING_MAX_DIM,
     DBM,
     INFINITY_RAW,
     LE_ZERO,
+    DBMStack,
+    _close_python,
     add_raw,
     bound,
     bound_as_tuple,
     bound_is_strict,
     bound_value,
-    get_close_backend,
     negate_weak,
-    set_close_backend,
+    reset_process_caches,
 )
 from repro.util.errors import ModelError
 
@@ -213,28 +216,53 @@ class TestExtrapolation:
             DBM.universal(2).extrapolate_max_bounds([0])
 
 
-class TestBackends:
-    def test_default_backend_is_auto(self):
-        assert get_close_backend() == "auto"
+class TestClose:
+    """``close()`` squares up to ``_SQUARING_MAX_DIM`` clocks and sweeps per
+    k above; either kernel must reproduce the scalar reference loop."""
 
-    def test_backend_switch_roundtrip(self):
-        original = get_close_backend()
-        try:
-            set_close_backend("numpy")
-            zone = DBM.universal(4)
-            zone.constrain(1, 0, bound(5))
-            zone.constrain(2, 1, bound(3))
-            zone.constrain(3, 2, bound(2))
-            numpy_result = zone.copy().close()
-            set_close_backend("python")
-            python_result = zone.copy().close()
-        finally:
-            set_close_backend(original)
-        assert numpy_result == python_result
+    @pytest.mark.parametrize(
+        "dim", [2, 4, _SQUARING_MAX_DIM, _SQUARING_MAX_DIM + 1, 32]
+    )
+    def test_matches_python_reference(self, dim):
+        zone = DBM.universal(dim)
+        # an unclosed chain x1 <= 5, x_{i+1} - x_i <= 3 with a few strict
+        # lower bounds: the closure must propagate along the whole chain
+        zone.set(1, 0, bound(5))
+        for i in range(1, dim - 1):
+            zone.set(i + 1, i, bound(3, strict=i % 3 == 0))
+            zone.set(0, i, bound(-(i % 4), strict=i % 2 == 0))
+        expected = zone.m.tolist()
+        _close_python(expected, dim)
+        assert zone.close().m.tolist() == expected
+        assert not zone.is_empty()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ModelError):
-            set_close_backend("fortran")
+    def test_squaring_marks_a_negative_cycle_empty(self):
+        zone = DBM.universal(4)
+        zone.set(1, 2, bound(-2))
+        zone.set(2, 1, bound(1))
+        assert zone.close().is_empty()
+
+
+class TestOwnership:
+    def test_copy_is_independent(self):
+        zone = DBM.zero(3)
+        clone = zone.copy()
+        clone.constrain(1, 0, bound(5))
+        assert zone == DBM.zero(3)
+        assert not np.shares_memory(zone.m, clone.m)
+
+    def test_reset_process_caches_clears_kernel_scratch(self):
+        from repro.core import dbm
+
+        DBM.universal(3).close()  # populate the scalar scratch cache
+        DBMStack.from_zones([DBM.zero(3)]).close()  # and the stack scratch
+        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+        reset_process_caches()
+        assert not dbm._SCRATCH_CACHE
+        assert not dbm._STACK_SCRATCH
+        assert not dbm._EXTRA_CACHE
+        # kernels repopulate on demand and stay correct
+        assert DBM.zero(3).up().close().get(1, 0) >= 0
 
 
 # ---------------------------------------------------------------------------

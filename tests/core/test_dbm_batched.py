@@ -77,7 +77,6 @@ class TestStackKernelRoundTrips:
         keys = stack.keys()
         for layer, zone in enumerate(zones):
             assert keys[layer] == zone.key()
-        stack.discard()
 
     @given(stack_strategy)
     @settings(max_examples=100, deadline=None)
@@ -87,7 +86,6 @@ class TestStackKernelRoundTrips:
             zone.up()
         stack.up()
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(
         stack_strategy,
@@ -107,7 +105,6 @@ class TestStackKernelRoundTrips:
                 zone.constrain(i, j, raw)
         stack.constrain(i, j, raw)
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(
         stack_strategy,
@@ -129,7 +126,6 @@ class TestStackKernelRoundTrips:
         stack.up()
         stack.impose_upper_bounds(clocks, raws)
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(stack_strategy, st.integers(1, DIM - 1), st.integers(0, 6))
     @settings(max_examples=150, deadline=None)
@@ -140,7 +136,6 @@ class TestStackKernelRoundTrips:
                 zone.reset(clock, value)
         stack.reset(clock, value)
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(stack_strategy)
     @settings(max_examples=100, deadline=None)
@@ -154,7 +149,6 @@ class TestStackKernelRoundTrips:
         stack.up()
         stack.close()
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(stack_strategy, bounds_strategy)
     @settings(max_examples=150, deadline=None)
@@ -168,7 +162,6 @@ class TestStackKernelRoundTrips:
                 zone._extrapolate_raw(upper_grid, lower_grid)
         stack.extrapolate(upper_grid, lower_grid)
         _assert_layerwise_equal(zones, stack)
-        stack.discard()
 
     @given(
         stack_strategy,
@@ -192,7 +185,6 @@ class TestStackKernelRoundTrips:
                 and raw + opposite - ((raw | opposite) & 1) < LE_ZERO
             )
             assert feasible[layer] == expected
-        stack.discard()
 
     @given(stack_strategy)
     @settings(max_examples=50, deadline=None)
@@ -204,21 +196,24 @@ class TestStackKernelRoundTrips:
         for layer, zone in enumerate(zones):
             assert np.array_equal(duplicate.a[layer], zone.m2)
             assert np.array_equal(sub.a[layer], zone.m2)
-        duplicate.discard()
-        sub.discard()
-        stack.discard()
 
 
 class TestStackBasics:
-    def test_layer_dbm_lifts_pooled_copy(self):
+    def test_layer_dbm_lifts_independent_copy(self):
         zones = [DBM.zero(DIM), DBM.universal(DIM)]
         stack = DBMStack.from_zones(zones)
         lifted = stack.layer_dbm(0)
         assert lifted == zones[0]
         lifted.up()  # mutating the lifted zone must not touch the stack
         assert np.array_equal(stack.a[0], zones[0].m2)
-        lifted.discard()
-        stack.discard()
+
+    def test_wrap_adopts_the_array_without_copying(self):
+        zones = [DBM.zero(DIM), DBM.zero(DIM)]
+        cube = DBMStack.from_zones(zones).a.copy()
+        stack = DBMStack.wrap(cube)
+        assert (stack.count, stack.dim) == (2, DIM)
+        stack.up()  # the kernels write through to the adopted array
+        assert np.array_equal(cube[1], zones[1].copy().up().m2)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ModelError):
@@ -240,4 +235,3 @@ class TestStackBasics:
         verdicts = federation.covers_many(stack.a)
         for layer, candidate in enumerate(candidates):
             assert verdicts[layer] == federation.covers(candidate)
-        stack.discard()

@@ -34,11 +34,12 @@ class TestAmortisedGrowth:
         """
         n = 64
         federation = Federation(3)
-        for zone in _incomparable(n):
+        zones = _incomparable(n)
+        for zone in zones:
             assert federation.add(zone)
         assert len(federation) == n
         assert federation.stack_copies <= 2 * n  # doubling: 1+2+4+8+16+32 = 63
-        federation.check_consistent()
+        assert federation.zones == tuple(zones)
 
     def test_eviction_copies_are_counted(self):
         federation = Federation(2)
@@ -46,7 +47,7 @@ class TestAmortisedGrowth:
             federation.add(_box(2, [upper]))
         # every add covered the previous zone: exactly one member remains
         assert len(federation) == 1
-        federation.check_consistent()
+        assert federation.zones == (_box(2, [10]),)
 
     def test_add_many_matches_sequential_add(self):
         zones = _incomparable(6) + [_box(3, [2, 2])] + _incomparable(3)
@@ -55,12 +56,12 @@ class TestAmortisedGrowth:
         bulk = Federation(3)
         assert bulk.add_many(z.copy() for z in zones) == grown
         assert [z.key() for z in bulk] == [z.key() for z in sequential]
-        bulk.check_consistent()
+        assert len(bulk) == len(sequential)
 
     def test_add_many_on_construction(self):
         federation = Federation(3, _incomparable(4))
         assert len(federation) == 4
-        federation.check_consistent()
+        assert federation.zones == tuple(_incomparable(4))
 
     def test_add_many_dimension_mismatch(self):
         with pytest.raises(ModelError):
@@ -73,18 +74,20 @@ class TestAmortisedGrowth:
         federation.add_uncovered(big)
         assert len(federation) == 1  # the smaller zone was evicted
         assert federation.covers(_box(2, [3]))
-        federation.check_consistent()
+        assert federation.zones == (big,)
 
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
-    def test_property_stack_and_zone_list_stay_consistent(self, boxes):
-        """After any add sequence the numpy stack mirrors the zone list."""
+    def test_property_members_cover_every_add_without_redundancy(self, boxes):
+        """After any add sequence every added zone is covered and no
+        member covers another."""
         federation = Federation(3)
         for x_upper, y_upper in boxes:
             federation.add(_box(3, [x_upper, y_upper]))
-        federation.check_consistent()
-        # no stored zone covers another (redundancy-freedom)
         zones = federation.zones
+        assert len(zones) == len(federation)
+        assert all(federation.covers(_box(3, list(box))) for box in boxes)
+        # no stored zone covers another (redundancy-freedom)
         for a_index, a in enumerate(zones):
             for b_index, b in enumerate(zones):
                 if a_index != b_index:
@@ -205,36 +208,126 @@ class TestAddManyUncovered:
         for zone in zones:
             sequential.add_uncovered(zone)
         batched = Federation(3)
-        batched.add_many_uncovered(batch_zones)
+        batched.add_many_uncovered(_stack_of(batch_zones))
         assert [z.key() for z in batched] == [z.key() for z in sequential]
-        batched.check_consistent()
+        assert len(batched) == len(sequential) == 5
 
     def test_later_zone_evicts_earlier_batch_zone(self):
         # z1 ⊆ z3: sequential add_uncovered(z3) would evict z1; the batch
         # must drop it before insertion
         z1, z2, z3 = _box(3, [1, 1]), _box(3, [5, 1]), _box(3, [2, 2])
         batched = Federation(3)
-        batched.add_many_uncovered([z1, z2, z3])
+        batched.add_many_uncovered(_stack_of([z1, z2, z3]))
         sequential = Federation(3)
         for zone in (_box(3, [1, 1]), _box(3, [5, 1]), _box(3, [2, 2])):
             sequential.add_uncovered(zone)
         assert [z.key() for z in batched] == [z.key() for z in sequential]
-        batched.check_consistent()
+        assert batched.zones == (z2, z3)
 
     def test_batch_evicts_previously_stored_members(self):
         federation = Federation(3)
         federation.add(_box(3, [1, 1]))
-        federation.add_many_uncovered([_box(3, [3, 3]), _box(3, [1, 9])])
+        federation.add_many_uncovered(_stack_of([_box(3, [3, 3]), _box(3, [1, 9])]))
+        zones = federation.zones
         assert not any(zone.is_subset_of(other)
-                       for zone in federation for other in federation
-                       if zone is not other)
+                       for a, zone in enumerate(zones)
+                       for b, other in enumerate(zones) if a != b)
         assert federation.covers(_box(3, [1, 1]))
-        federation.check_consistent()
+        assert zones == (_box(3, [3, 3]), _box(3, [1, 9]))
 
     def test_empty_and_singleton_batches(self):
         federation = Federation(3)
-        federation.add_many_uncovered([])
+        federation.add_many_uncovered(np.empty((0, 9), dtype=np.int64))
         assert len(federation) == 0
-        federation.add_many_uncovered([_box(3, [2, 2])])
+        federation.add_many_uncovered(_stack_of([_box(3, [2, 2])]))
         assert len(federation) == 1
-        federation.check_consistent()
+        assert federation.zones == (_box(3, [2, 2]),)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ModelError):
+            Federation(3).add_many_uncovered(_stack_of([DBM.universal(4)] * 2))
+
+
+class _NaiveFederation:
+    """The passed-list contract spelled out on int tuples, independently of
+    :class:`Federation`: one zone includes another iff its raw bounds are
+    entrywise ``>=``, and an insert evicts the members it includes."""
+
+    def __init__(self):
+        self.members: list[tuple[int, ...]] = []
+
+    @staticmethod
+    def _includes(big, small) -> bool:
+        return all(s <= b for s, b in zip(small, big))
+
+    def covers(self, zone) -> bool:
+        return any(self._includes(member, zone) for member in self.members)
+
+    def add_uncovered(self, zone) -> None:
+        self.members = [m for m in self.members if not self._includes(zone, m)]
+        self.members.append(zone)
+
+    def add(self, zone) -> bool:
+        if self.covers(zone):
+            return False
+        self.add_uncovered(zone)
+        return True
+
+
+@st.composite
+def _small_zones(draw, dim):
+    """A non-empty closed zone over ``dim`` clocks: box bounds plus
+    difference bounds (``None`` when the drawn constraints are empty)."""
+    zone = DBM.universal(dim)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, dim - 1))
+        j = draw(st.integers(0, dim - 1))
+        if i == j:
+            continue
+        value = draw(st.integers(-6, 6) if i and j else st.integers(0, 8))
+        if i == 0:
+            value = -value  # a lower bound x_j >= value
+        if not zone.constrain(i, j, bound(value, draw(st.booleans()))):
+            return None
+    return zone
+
+
+class TestAgainstNaiveReference:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_random_operation_sequences(self, data):
+        dim = data.draw(st.integers(2, 4), label="dim")
+        zones = _small_zones(dim)
+        federation, reference = Federation(dim), _NaiveFederation()
+        seen: list[DBM] = []
+        for _step in range(data.draw(st.integers(1, 12), label="steps")):
+            op = data.draw(st.sampled_from(["add", "add_uncovered", "add_many_uncovered"]))
+            batch = [z for z in data.draw(st.lists(zones, min_size=1, max_size=5)) if z]
+            if op == "add":
+                for zone in batch:
+                    assert federation.add(zone) == reference.add(tuple(zone.m.tolist()))
+            elif op == "add_uncovered":
+                for zone in batch:
+                    row = tuple(zone.m.tolist())
+                    if not reference.covers(row):
+                        federation.add_uncovered(zone)
+                        reference.add_uncovered(row)
+            else:
+                # pre-screened like the decide step: each zone uncovered by
+                # the members present at its turn, earlier batch zones included
+                screened = []
+                for zone in batch:
+                    row = tuple(zone.m.tolist())
+                    if not reference.covers(row):
+                        reference.add_uncovered(row)
+                        screened.append(zone)
+                if screened:
+                    federation.add_many_uncovered(_stack_of(screened))
+            seen.extend(batch)
+            assert len(federation) == len(reference.members)
+            assert [tuple(z.m.tolist()) for z in federation.zones] == reference.members
+            for probe in seen:
+                assert federation.covers(probe) == reference.covers(tuple(probe.m.tolist()))
+            if seen:
+                expected = [reference.covers(tuple(p.m.tolist())) for p in seen]
+                assert federation.covers_many(_stack_of(seen)).tolist() == expected

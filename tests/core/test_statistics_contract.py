@@ -309,30 +309,3 @@ def test_deadline_stop_matches_the_oracle_field_by_field(engine, fake_clock):
     assert scalar.termination == "state-budget"
     ignore = ("elapsed_seconds", "termination")
     assert _stats(stopped, ignore) == _stats(scalar, ignore)
-
-
-# ------------------------------------------------------------ pooled buffers
-
-
-def test_plan_error_returns_every_pooled_block(monkeypatch):
-    """A deferred error raised mid-exploration leaks no pooled stack."""
-    from repro.core.zonepool import ZonePool
-
-    balance = {"acquired": 0, "released": 0}
-    original_acquire = ZonePool.acquire_block
-    original_release = ZonePool.release_block
-
-    def counting_acquire(self, rows, dim):
-        balance["acquired"] += 1
-        return original_acquire(self, rows, dim)
-
-    def counting_release(self, dim, buffer):
-        balance["released"] += 1
-        original_release(self, dim, buffer)
-
-    monkeypatch.setattr(ZonePool, "acquire_block", counting_acquire)
-    monkeypatch.setattr(ZonePool, "release_block", counting_release)
-    with pytest.raises(ModelError):
-        Explorer(_erroneous_network()).count_states()
-    assert balance["acquired"] > 0  # the batched kernels actually ran
-    assert balance["acquired"] == balance["released"]

@@ -30,9 +30,18 @@ from repro.serve.smoke import (
 )
 from repro.sweep.faults import FaultPlan, FaultSpec, install_plan
 
+#: the server's hard per-job deadline, counted from dispatch to a worker
+DEADLINE_SECONDS = 8.0
+
+#: how long the "slow" jobs stall: long enough to race requests against
+#: (the tests wait up to 0.8 s into a stall), and only a quarter of the
+#: deadline, so a stalled job still finishes in time on a loaded host, where
+#: a freshly respawned worker first spends seconds importing the package
+STALL_SECONDS = DEADLINE_SECONDS / 4
+
 #: the chaos plan: a model that crashes its worker on every attempt, one
 #: that OOM-exits, one that hangs past the hard deadline, one whose
-#: degraded fallback is poisoned too, and one that merely stalls 2 s
+#: degraded fallback is poisoned too, and ones that merely stall
 #: (in-flight long enough to race requests against)
 PLAN = FaultPlan((
     FaultSpec(cell="serve/chaos-crash", action="crash"),
@@ -40,12 +49,12 @@ PLAN = FaultPlan((
     FaultSpec(cell="serve/chaos-hang", action="hang", hang_seconds=300.0),
     FaultSpec(cell="serve/chaos-poison", action="crash"),
     FaultSpec(cell="serve/chaos-poison", action="raise", stage="degraded"),
-    FaultSpec(cell="serve/chaos-slow", action="hang", hang_seconds=2.0,
-              attempts=(1,)),
-    FaultSpec(cell="serve/chaos-slow2", action="hang", hang_seconds=2.0,
-              attempts=(1,)),
-    FaultSpec(cell="serve/chaos-inflight", action="hang", hang_seconds=2.0,
-              attempts=(1,)),
+    FaultSpec(cell="serve/chaos-slow", action="hang",
+              hang_seconds=STALL_SECONDS, attempts=(1,)),
+    FaultSpec(cell="serve/chaos-slow2", action="hang",
+              hang_seconds=STALL_SECONDS, attempts=(1,)),
+    FaultSpec(cell="serve/chaos-inflight", action="hang",
+              hang_seconds=STALL_SECONDS, attempts=(1,)),
 ))
 
 
@@ -55,7 +64,8 @@ def chaos_server(tmp_path_factory, live_server_cls):
     cache = str(tmp_path_factory.mktemp("chaos") / "serve.cache.jsonl")
     try:
         live = live_server_cls(ServerConfig(
-            workers=2, queue_limit=2, deadline_seconds=3.0, max_attempts=2,
+            workers=2, queue_limit=2, deadline_seconds=DEADLINE_SECONDS,
+            max_attempts=2,
             backoff_seconds=0.05, max_states_cap=5_000, max_seconds_cap=5.0,
             cache_path=cache, breaker_threshold=2, breaker_cooldown=60.0,
             degraded_des_runs=1, degraded_des_seconds=2.0,
@@ -187,9 +197,9 @@ class TestChaos:
         assert body1 == body2
 
     def test_full_queue_rejected_with_retry_after(self, chaos_server):
-        # chaos-slow and chaos-slow2 each stall 2 s; queue_limit is 2, so
-        # the two slow fingerprints fill the queue and a third distinct
-        # request gets 429 while both workers are still pinned
+        # chaos-slow and chaos-slow2 each stall STALL_SECONDS; queue_limit
+        # is 2, so the two slow fingerprints fill the queue and a third
+        # distinct request gets 429 while both workers are still pinned
         slow = {"model": two_task_model_dict("chaos-slow")}
         slow2 = {"model": two_task_model_dict("chaos-slow2")}
         outcomes = {}
@@ -230,7 +240,7 @@ class TestChaos:
         assert metrics["draining"] is False
 
     def test_drain_completes_inflight_jobs(self, chaos_server):
-        # LAST live test: submit a 2 s request, drain mid-flight, and probe
+        # LAST live test: submit a stalling request, drain mid-flight, and probe
         # the draining window -- the in-flight request must still complete
         # with a real response, health must stay served, new analyses must
         # be refused.  The listener closes once the drain finishes, so the
