@@ -1,15 +1,19 @@
 """Tests of the DBM (zone) library."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbm import (
+    _MAX_STACK_ROWS,
     _SQUARING_MAX_DIM,
     DBM,
     INFINITY_RAW,
     LE_ZERO,
     DBMStack,
+    _block_capacity,
     _close_python,
     add_raw,
     bound,
@@ -263,6 +267,93 @@ class TestOwnership:
         assert not dbm._EXTRA_CACHE
         # kernels repopulate on demand and stay correct
         assert DBM.zero(3).up().close().get(1, 0) >= 0
+
+    def test_raw_constructor_copies_its_input(self):
+        # federations hand out zones built from their stored rows: a zone
+        # must never write through to the row it was built from
+        row = DBM.zero(3).m.copy()
+        zone = DBM(3, raw=row)
+        zone.up()
+        assert np.array_equal(row, DBM.zero(3).m)
+        assert not np.shares_memory(row, zone.m)
+
+    def test_from_zones_copies_the_zones(self):
+        zones = [DBM.zero(3), DBM.zero(3)]
+        stack = DBMStack.from_zones(zones)
+        stack.up()
+        assert zones[0] == DBM.zero(3) and zones[1] == DBM.zero(3)
+        assert not any(np.shares_memory(stack.a, zone.m) for zone in zones)
+
+    def test_forked_child_starts_with_empty_kernel_scratch(self):
+        if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only guard
+            return
+        from repro.core import dbm
+
+        DBM.universal(3).close()
+        DBMStack.from_zones([DBM.zero(3)]).close()
+        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: the at-fork hook must have dropped the caches
+            os.close(read_fd)
+            clean = not (dbm._SCRATCH_CACHE or dbm._STACK_SCRATCH or dbm._EXTRA_CACHE)
+            os.write(write_fd, b"ok" if clean else b"no")
+            os.close(write_fd)
+            os._exit(0)
+        os.close(write_fd)
+        try:
+            assert os.read(read_fd, 2) == b"ok"
+        finally:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        # the parent's caches are untouched by the child's reset
+        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+
+
+class TestStackScratch:
+    """The stacked kernels' scratch buffers: cached per (capacity class,
+    dimension), for one dimension at a time and up to ``_MAX_STACK_ROWS``."""
+
+    def setup_method(self):
+        reset_process_caches()
+
+    def test_block_capacity_rounds_to_powers_of_two(self):
+        assert _block_capacity(1) == 4
+        assert _block_capacity(4) == 4
+        assert _block_capacity(5) == 8
+        assert _block_capacity(64) == 64
+        assert _block_capacity(65) == 128
+
+    def test_capacity_classes_of_one_dimension_coexist(self):
+        from repro.core import dbm
+
+        DBMStack.from_zones([DBM.zero(3)] * 2).close()
+        DBMStack.from_zones([DBM.zero(3)] * 20).close()
+        assert set(dbm._STACK_SCRATCH) == {(4, 3), (32, 3)}
+
+    def test_wide_stack_scratch_is_not_pinned(self):
+        from repro.core import dbm
+
+        zones = []
+        for layer in range(_MAX_STACK_ROWS + 1):
+            zone = DBM.universal(3)  # unclosed: x1 <= layer, x2 - x1 <= 1
+            zone.set(1, 0, bound(layer))
+            zone.set(2, 1, bound(1))
+            zones.append(zone)
+        stack = DBMStack.from_zones(zones).close()
+        assert all(capacity <= _MAX_STACK_ROWS for capacity, _dim in dbm._STACK_SCRATCH)
+        # the unpinned buffers still served a correct closure
+        for layer, zone in enumerate(zones):
+            expected = zone.m.tolist()
+            _close_python(expected, 3)
+            assert stack.a[layer].reshape(-1).tolist() == expected
+
+    def test_new_dimension_evicts_other_scratch(self):
+        from repro.core import dbm
+
+        DBMStack.from_zones([DBM.zero(3)]).close()
+        DBMStack.from_zones([DBM.zero(5)]).close()
+        assert set(dbm._STACK_SCRATCH) == {(4, 5)}
 
 
 # ---------------------------------------------------------------------------

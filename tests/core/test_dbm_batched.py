@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbm import (
+    _SQUARING_MAX_COUNT,
+    _SQUARING_MAX_DIM,
     DBM,
     DBMStack,
+    _close_python,
     _extrapolation_grids,
     bound,
 )
@@ -196,6 +199,38 @@ class TestStackKernelRoundTrips:
         for layer, zone in enumerate(zones):
             assert np.array_equal(duplicate.a[layer], zone.m2)
             assert np.array_equal(sub.a[layer], zone.m2)
+
+
+class TestStackClose:
+    """``DBMStack.close`` squares small stacks of up to ``_SQUARING_MAX_DIM``
+    clocks and sweeps per k otherwise; both must reproduce the scalar
+    reference loop on every layer."""
+
+    @pytest.mark.parametrize(
+        "dim, count",
+        [
+            (4, 3),  # squaring
+            (_SQUARING_MAX_DIM, _SQUARING_MAX_COUNT - 1),  # squaring at its limits
+            (4, _SQUARING_MAX_COUNT),  # per-k sweep: too many layers
+            (_SQUARING_MAX_DIM + 1, 2),  # per-k sweep: too many clocks
+        ],
+    )
+    def test_matches_python_reference(self, dim, count):
+        zones = []
+        for layer in range(count):
+            # chains of different lengths converge in different rounds, so
+            # the squaring kernel's shrinking working set is exercised too
+            zone = DBM.universal(dim)
+            zone.set(1, 0, bound(5 + layer))
+            for i in range(1, 1 + (layer * 3) % (dim - 1)):
+                if i + 1 < dim:
+                    zone.set(i + 1, i, bound(2, strict=i % 2 == 0))
+            zones.append(zone)
+        stack = DBMStack.from_zones(zones).close()
+        for layer, zone in enumerate(zones):
+            expected = zone.m.tolist()
+            _close_python(expected, dim)
+            assert stack.a[layer].reshape(-1).tolist() == expected, layer
 
 
 class TestStackBasics:

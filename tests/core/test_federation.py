@@ -247,6 +247,56 @@ class TestAddManyUncovered:
         with pytest.raises(ModelError):
             Federation(3).add_many_uncovered(_stack_of([DBM.universal(4)] * 2))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_callers_rows_are_copied_in(self, size):
+        # the decide step passes rows of its own round array, which it
+        # reuses: the federation must keep its own copy
+        rows = _stack_of(_incomparable(size))
+        federation = Federation(3)
+        federation.add_many_uncovered(rows)
+        rows[:] = DBM.zero(3).m
+        assert federation.zones == tuple(_incomparable(size))
+
+
+class TestMemberViews:
+    """The row stack is the only copy of each member: every zone a
+    federation hands out is a fresh copy built from its rows."""
+
+    def test_zones_are_independent_copies(self):
+        federation = Federation(3, _incomparable(3))
+        for zone in federation.zones:
+            zone.up()
+        for zone in federation:
+            zone.constrain(1, 0, bound(0))
+        assert federation.zones == tuple(_incomparable(3))
+
+    def test_iteration_yields_the_members_in_stack_order(self):
+        federation = Federation(3, _incomparable(4))
+        assert list(federation) == list(federation.zones) == _incomparable(4)
+        assert list(Federation(3)) == []
+
+    def test_intersects_and_contains_point_read_the_members(self):
+        federation = Federation(3, [_box(3, [1, 5]), _box(3, [5, 1])])
+        assert federation.contains_point([0, 1, 5])
+        assert federation.contains_point([0, 5, 1])
+        assert not federation.contains_point([0, 5, 5])
+        probe = DBM.universal(3)
+        probe.constrain(0, 1, bound(-3))  # x >= 3
+        probe.constrain(0, 2, bound(-3))  # y >= 3
+        assert not federation.intersects(probe)
+        wider = DBM.universal(3)
+        wider.constrain(0, 2, bound(-3))  # y >= 3 only: meets {x <= 1, y <= 5}
+        assert federation.intersects(wider)
+        assert not Federation(3).intersects(wider)
+        assert not Federation(3).contains_point([0, 0, 0])
+
+    def test_upper_bound_is_the_largest_member_bound(self):
+        federation = Federation(3, [_box(3, [2, 7]), _box(3, [6, 3])])
+        assert federation.upper_bound(1) == bound(6)
+        assert federation.upper_bound(2) == bound(7)
+        with pytest.raises(ModelError):
+            Federation(3).upper_bound(1)
+
 
 class _NaiveFederation:
     """The passed-list contract spelled out on int tuples, independently of

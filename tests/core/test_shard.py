@@ -14,6 +14,7 @@ crashes.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from test_statistics_contract import (
     _branching_network,
@@ -151,6 +152,41 @@ def test_symmetry_and_lu_composition():
     assert sharded.detail.statistics.keys_folded > 0
     assert sharded.detail.statistics.states_subsumed_lu > 0
     assert sharded.detail.statistics.shard_workers == 2
+
+
+# ---------------------------------------------------------------- hand-off
+
+
+def test_handoff_packs_one_array_per_destination():
+    rng = np.random.default_rng(7)
+
+    def group(key, rows):
+        parent_seqs = np.arange(rows, dtype=np.int64)
+        return (key, 0, False, parent_seqs,
+                rng.integers(-50, 50, size=(rows, 9), dtype=np.int64))
+
+    outgoing = {1: [group(b"a", 2), group(b"b", 3)], 2: [group(b"c", 1)]}
+
+    class FakePartition:
+        rank = 0
+
+        def expand(self, upto, assigned, stolen):
+            return outgoing, None, 6
+
+    worker = shard_mod._ShardWorker(FakePartition(), -1, -1, attempt=1)
+    parcels, error, handoffs = worker._expand(1, (), ())
+    assert (error, handoffs) == (None, 6)
+    assert set(parcels) == {1, 2}
+    rows, refs = parcels[1]
+    assert rows.shape == (5, 9) and rows.flags.c_contiguous
+    assert [ref[4] for ref in refs] == [0, 2]  # each group's offset
+    for dest, groups in outgoing.items():
+        unpacked = shard_mod._ShardWorker._unpack([parcels[dest]])
+        assert len(unpacked) == len(groups)
+        for got, sent in zip(unpacked, groups):
+            assert got[:3] == sent[:3]
+            assert np.array_equal(got[3], sent[3])
+            assert np.array_equal(got[4], sent[4])
 
 
 # ---------------------------------------------------------------- stealing
