@@ -6,8 +6,8 @@ worker, losing a request or recomputing what was already answered.  This
 package provides that server on the stdlib alone:
 
 * :mod:`repro.serve.http`    -- a minimal HTTP/1.1 layer over asyncio streams,
-* :mod:`repro.serve.jobs`    -- one request as a supervised-worker task,
-* :mod:`repro.serve.pool`    -- the persistent crash-isolated worker pool,
+* :mod:`repro.serve.jobs`    -- one request as a task for the supervised
+  worker pool the sweeps run on (:class:`repro.sweep.supervisor.WorkerPool`),
 * :mod:`repro.serve.cache`   -- the crash-safe ``repro-cache-v1`` journal,
 * :mod:`repro.serve.breaker` -- the per-fingerprint circuit breaker,
 * :mod:`repro.serve.server`  -- admission control, coalescing, degradation,
@@ -27,7 +27,6 @@ from repro.serve.cache import (
     request_fingerprint,
 )
 from repro.serve.jobs import AnalysisJob, analysis_options
-from repro.serve.pool import ServePool
 from repro.serve.server import AnalysisServer, Metrics, ServerConfig
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "CircuitBreaker",
     "Metrics",
     "ResultCache",
-    "ServePool",
     "ServerConfig",
     "analysis_options",
     "canonical_json",

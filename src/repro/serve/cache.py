@@ -6,23 +6,23 @@ no whitespace), computed after the server clamps the options to its
 budgets.  Two requests that differ only in key order or formatting hash
 identically; two requests that differ in any analysed bit do not.
 
-Persistence follows :mod:`repro.sweep.checkpoint` exactly: an append-only
-JSONL file whose first line names the schema, with every record flushed
-*and fsynced* before the response leaves the server.  A SIGKILLed server
-therefore restarts warm -- and because each record stores the exact
-response body string, a recovered entry is served byte-identical to the
-original response.  A torn final line (killed mid-append) is ignored on
-load; a corrupt earlier line cannot happen under the fsync discipline and
-fails the load loudly.
+Persistence is the sweep checkpoint's file format
+(:class:`repro.sweep.checkpoint.JsonlJournal`): an append-only JSONL file
+whose first line names the schema, with every record flushed *and fsynced*
+before the response leaves the server.  A SIGKILLed server therefore
+restarts warm -- and because each record stores the exact response body
+string, a recovered entry is served byte-identical to the original
+response.  A torn final line (killed mid-append) is ignored on load and
+truncated before the restarted server appends; a corrupt complete line
+cannot happen under the fsync discipline and fails the load loudly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from typing import IO
 
+from repro.sweep.checkpoint import JsonlJournal, read_journal
 from repro.util.errors import AnalysisError
 
 __all__ = [
@@ -54,35 +54,9 @@ def load_cache(path: str) -> dict[str, str]:
     (a re-analysis after a quarantine cooldown may legitimately append a
     fresh entry for an old fingerprint).
     """
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return {}
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"unusable cache {path}: bad header ({exc})") from exc
-    if header.get("schema") != CACHE_SCHEMA:
-        raise AnalysisError(
-            f"unusable cache {path}: schema {header.get('schema')!r} "
-            f"(expected {CACHE_SCHEMA!r})"
-        )
+    _header, records = read_journal(path, "cache", CACHE_SCHEMA)
     entries: dict[str, str] = {}
-    for position, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if position == len(lines):
-                # torn final line: the server died mid-append; that response
-                # never reached the client either, so dropping it is safe
-                break
-            raise AnalysisError(
-                f"unusable cache {path}: corrupt record on line {position} ({exc})"
-            ) from exc
+    for position, record in records:
         fingerprint = record.get("fingerprint")
         body = record.get("body")
         if not isinstance(fingerprint, str) or not isinstance(body, str):
@@ -99,21 +73,11 @@ class ResultCache:
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._handle: IO[str] | None = None
         self.entries: dict[str, str] = {}
+        self._journal: JsonlJournal | None = None
         if path is not None:
             self.entries = load_cache(path)
-            fresh = not os.path.exists(path)
-            self._handle = open(path, "a", encoding="utf-8")
-            if fresh:
-                self._write_line(json.dumps({"schema": CACHE_SCHEMA}))
-
-    def _write_line(self, line: str) -> None:
-        handle = self._handle
-        assert handle is not None
-        handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+            self._journal = JsonlJournal(path, {"schema": CACHE_SCHEMA})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -124,17 +88,17 @@ class ResultCache:
     def put(self, fingerprint: str, model_name: str, body: str) -> None:
         """Store (and journal, fsynced) one response body."""
         self.entries[fingerprint] = body
-        if self._handle is not None:
-            self._write_line(json.dumps({
+        if self._journal is not None:
+            self._journal.append({
                 "fingerprint": fingerprint,
                 "model": model_name,
                 "body": body,
-            }))
+            })
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def __enter__(self) -> "ResultCache":
         return self

@@ -38,8 +38,7 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache, canonical_json, request_fingerprint
 from repro.serve.http import HTTPError, read_request, write_response
 from repro.serve.jobs import AnalysisJob, analysis_options, portfolio_budget
-from repro.serve.pool import ServePool
-from repro.sweep.supervisor import SupervisorConfig
+from repro.sweep.supervisor import SupervisorConfig, WorkerPool
 from repro.util.errors import ModelError, ReproError
 
 __all__ = ["ServerConfig", "Metrics", "AnalysisServer"]
@@ -116,7 +115,7 @@ class Metrics:
 
 
 class AnalysisServer:
-    """The asyncio HTTP front-end over one :class:`ServePool`."""
+    """The asyncio HTTP front-end over one :class:`WorkerPool`."""
 
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
@@ -124,7 +123,7 @@ class AnalysisServer:
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown)
         self.cache: ResultCache | None = None
-        self.pool: ServePool | None = None
+        self.pool: WorkerPool | None = None
         self.draining = False
         self._server: asyncio.AbstractServer | None = None
         self._inflight: dict[str, asyncio.Future] = {}
@@ -140,9 +139,9 @@ class AnalysisServer:
         loop = asyncio.get_running_loop()
         self._stopped = loop.create_future()
         self.cache = ResultCache(self.config.cache_path)
-        self.pool = ServePool(self.config.workers,
-                              self.config.supervisor_config(),
-                              start_method=self.config.start_method)
+        self.pool = WorkerPool(self.config.workers,
+                               self.config.supervisor_config(),
+                               start_method=self.config.start_method)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -396,12 +395,8 @@ class AnalysisServer:
                        settled, budget=None) -> tuple[int, str]:
         job = AnalysisJob(name=f"serve/{model.name}", model=model_dict,
                           options=options, budget=budget or {})
-        outcome = loop.create_future()
         submitted = loop.time()
-        self.pool.submit(job, lambda kind, value, attempts:
-                         loop.call_soon_threadsafe(
-                             outcome.set_result, (kind, value, attempts)))
-        kind, value, attempts = await outcome
+        kind, value, attempts = await self._submit(job)
         # every settled job feeds the Retry-After estimate -- a crashed or
         # deadline-killed job occupied a worker for exactly that long too
         self._latencies.append(loop.time() - submitted)
@@ -414,20 +409,23 @@ class AnalysisServer:
                 self.metrics.record_reductions(value.get("reduction_counters"))
             settled.set_result((200, body))
             return 200, body
+        # a deterministic in-worker exception ("error") leaves the worker
+        # healthy and the breaker uninvolved; every failure degrades (sweep
+        # on_error="degrade" parity)
         if kind in ("died", "deadline"):
-            reason = (f"worker died abnormally (exit code {value}) on all "
-                      f"{attempts} attempt(s)" if kind == "died"
-                      else f"hard deadline of {value}s exceeded (worker killed)")
             self.breaker.record_failure(fingerprint)
-        else:
-            # deterministic in-worker exception: the worker is healthy, the
-            # request is settled by degradation (sweep on_error="degrade"
-            # parity), and the breaker is not involved
-            reason = str(value)
         status, body = await loop.run_in_executor(
-            None, self._degrade, model, fingerprint, reason, attempts)
+            None, self._degrade, model, fingerprint, value, attempts)
         settled.set_result((status, body))
         return status, body
+
+    def _submit(self, job) -> asyncio.Future:
+        """Hand *job* to the pool; the future resolves to its outcome."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self.pool.submit(job, lambda *outcome: loop.call_soon_threadsafe(
+            future.set_result, outcome))
+        return future
 
     def _degrade(self, model, fingerprint: str, reason: str,
                  attempts: int) -> tuple[int, str]:
@@ -526,15 +524,11 @@ class AnalysisServer:
                                     headers={"Retry-After":
                                              str(self._retry_after())})
             return
-        loop = asyncio.get_running_loop()
         outcomes = []
         for cell in cells:
-            future = loop.create_future()
+            future = self._submit(cell)
             self._jobs.add(future)
             future.add_done_callback(self._jobs.discard)
-            self.pool.submit(cell, lambda kind, value, attempts, f=future:
-                             loop.call_soon_threadsafe(
-                                 f.set_result, (kind, value, attempts)))
             outcomes.append((cell, future))
         points = {}
         for cell, future in outcomes:
@@ -544,7 +538,7 @@ class AnalysisServer:
                 self.metrics.ok += 1
             else:
                 points[cell.name] = {"termination": "failed",
-                                     "failure": str(value),
+                                     "failure": value,
                                      "attempts": attempts}
         body = canonical_json({"cells": len(cells), "points": points})
         await write_response(writer, 200, body)

@@ -6,12 +6,13 @@ independent, so this package runs them as a multiprocess sweep:
 
 * :mod:`repro.sweep.cells` -- picklable cell descriptions and grid builders
   (Table 1, Table 2, the core-scaling cells, user-defined grids),
-* :mod:`repro.sweep.runner` -- the spawn-safe worker pool, flat results and
+* :mod:`repro.sweep.runner` -- spawn-safe cell execution, flat results and
   ``repro-bench-v1`` trajectory aggregation,
-* :mod:`repro.sweep.supervisor` -- crash isolation, hard deadlines, retry
+* :mod:`repro.sweep.supervisor` -- the one supervised worker pool (the
+  analysis service runs on it too): crash isolation, hard deadlines, retry
   with backoff, degradation to analytic bounds and quarantine,
 * :mod:`repro.sweep.checkpoint` -- the ``repro-checkpoint-v1`` journal
-  behind ``--resume``,
+  behind ``--resume``, in the JSONL format the service's cache shares,
 * :mod:`repro.sweep.faults` -- the deterministic fault-injection harness,
 * :mod:`repro.sweep.cli` -- the ``repro-sweep`` console entry point.
 

@@ -20,15 +20,16 @@ processes and aggregates the results into a ``repro-bench-v1`` trajectory
 * **Serial fallback.**  ``workers=1`` (or a single cell) runs in-process
   with identical semantics -- the mode the correctness tests pin against
   the parallel runs.
-* **Supervised execution.**  Multiprocess dispatch goes through
-  :class:`repro.sweep.supervisor.Supervisor` rather than a bare
-  ``Pool.map``: workers are crash-isolated, hard per-cell deadlines are
-  enforced by SIGKILL, transient worker deaths are retried with backoff,
-  and (opt-in via :class:`~repro.sweep.supervisor.SupervisorConfig`)
-  unrecoverable cells degrade to analytic bounds or are quarantined
-  instead of sinking the sweep.  Progress can be journaled to a
-  ``repro-checkpoint-v1`` file (:mod:`repro.sweep.checkpoint`) and resumed
-  after an interruption with a deterministic merge.
+* **Supervised execution.**  Multiprocess dispatch goes through the one
+  :class:`repro.sweep.supervisor.WorkerPool` (the pool ``repro-serve``
+  runs its jobs on) rather than a bare ``Pool.map``: workers are
+  crash-isolated, hard per-cell deadlines are enforced by SIGKILL,
+  transient worker deaths are retried with backoff, and (opt-in via
+  :class:`~repro.sweep.supervisor.SupervisorConfig`) unrecoverable cells
+  degrade to analytic bounds or are quarantined instead of sinking the
+  sweep.  Progress can be journaled to a ``repro-checkpoint-v1`` file
+  (:mod:`repro.sweep.checkpoint`) and resumed after an interruption with a
+  deterministic merge.
 """
 
 from __future__ import annotations
@@ -387,6 +388,8 @@ class SweepResult:
     wall_seconds: float
     #: cells served from a resumed checkpoint rather than recomputed
     resumed: int = 0
+    #: states explored by those cells, in the run that journaled them
+    resumed_states: int = 0
 
     def __iter__(self):
         return iter(self.results)
@@ -426,8 +429,10 @@ class SweepResult:
 
     @property
     def sweep_states_per_second(self) -> float:
-        """Total states over sweep *wall* time -- the parallel speed-up view."""
-        return self.total_states / self.wall_seconds if self.wall_seconds > 0 else 0.0
+        """States this run explored over its *wall* time -- the parallel
+        speed-up view (journal-served cells cost this run no time)."""
+        computed = self.total_states - self.resumed_states
+        return computed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def points(self) -> dict[str, dict]:
         """The sweep as ``repro-bench-v1`` trajectory points."""
@@ -482,7 +487,7 @@ def run_sweep(
     deterministically identical to an uninterrupted one.
     """
     from repro.sweep.supervisor import (
-        Supervisor, SupervisorConfig, run_supervised_serial,
+        SupervisorConfig, run_supervised_pool, run_supervised_serial,
     )
 
     cells = list(cells)
@@ -507,13 +512,10 @@ def run_sweep(
         if workers == 1:
             fresh = run_supervised_serial(tasks, config, journal)
         else:
-            import multiprocessing
-
             # per-cell dispatch: cells are coarse (seconds each) and
             # heterogeneous, dynamic dispatch beats pre-chunking
-            context = multiprocessing.get_context(start_method)
-            fresh = Supervisor(tasks, workers, context, config,
-                               journal=journal, initializer=initializer).run()
+            fresh = run_supervised_pool(tasks, workers, config, start_method,
+                                        journal, initializer)
     finally:
         if journal is not None:
             journal.close()
@@ -522,7 +524,9 @@ def run_sweep(
     wall = time.perf_counter() - started
     return SweepResult(results=results, workers=workers,
                        start_method=start_method if workers > 1 else "serial",
-                       wall_seconds=wall, resumed=len(completed))
+                       wall_seconds=wall, resumed=len(completed),
+                       resumed_states=sum(result.states_explored
+                                          for result in completed.values()))
 
 
 def verify_cells(

@@ -1,14 +1,15 @@
-"""Supervised worker pools: crash-isolated, deadline-enforced cell dispatch.
+"""The supervised worker pool: crash-isolated, deadline-enforced dispatch.
 
 ``multiprocessing.Pool.map`` is the wrong tool for campaigns over hostile
 work: one worker that segfaults, gets OOM-killed or livelocks takes the
 whole sweep down (or hangs it forever), and everything already computed is
-lost.  This module replaces it with an explicit supervisor:
+lost.  This module replaces it with one explicit :class:`WorkerPool`, which
+runs the cells of ``repro-sweep`` and the jobs of ``repro-serve`` alike:
 
-* **Crash isolation.**  Each cell is dispatched to one worker process over
+* **Crash isolation.**  Each job is dispatched to one worker process over
   a private pipe.  A worker that dies abnormally (signal, ``os._exit``,
-  OOM-killer) loses *that cell's attempt*, nothing else; the supervisor
-  respawns a fresh worker and carries on.
+  OOM-killer) loses *that job's attempt*, nothing else; the pool respawns
+  a fresh worker and carries on.
 * **Hard deadlines.**  ``SupervisorConfig.deadline_seconds`` is wall-clock
   per attempt, enforced from the *outside*: an overrunning worker is
   SIGKILLed and replaced.  This is the non-cooperative complement to the
@@ -17,13 +18,14 @@ lost.  This module replaces it with an explicit supervisor:
 * **Bounded retry with exponential backoff.**  Abnormal exits are treated
   as transient (a crashed machine neighbour, a fork bomb next door, an
   OOM pass) and retried up to ``max_attempts`` times, waiting
-  ``backoff_seconds * backoff_factor**(attempt-1)`` between attempts.
+  ``backoff_seconds * backoff_factor**(attempt-2)`` (capped) before
+  attempt number *attempt*.
   In-worker *exceptions* are deterministic and are not retried.
 * **Graceful degradation.**  With ``on_error="degrade"``, a cell whose
   exact TA exploration died, hung or kept crashing still yields a usable
-  :class:`~repro.sweep.runner.CellResult`: the supervisor computes the
-  SymTA/MPA analytic *upper* bounds and a budgeted DES *lower* bound in
-  the parent process and returns them with ``termination="degraded"``.
+  :class:`~repro.sweep.runner.CellResult`: the calling process computes
+  the SymTA/MPA analytic *upper* bounds and a budgeted DES *lower* bound
+  and returns them with ``termination="degraded"``.
 * **Quarantine.**  A poison cell -- one whose degraded fallback fails too
   -- is recorded with ``termination="quarantined"`` instead of poisoning
   the campaign, and the sweep completes without it.
@@ -33,16 +35,21 @@ raise an :class:`~repro.util.errors.AnalysisError` that *names the cell*
 (name, kind, seed) instead of the bare worker traceback ``Pool.map`` used
 to propagate.
 
-Every completed cell is journaled through the ``repro-checkpoint-v1``
-writer (:mod:`repro.sweep.checkpoint`) before the next dispatch, so a
-SIGINT/reboot mid-campaign costs at most the cells in flight.
+A sweep runs through :func:`run_supervised_pool` (or, for one worker,
+in-process through :func:`run_supervised_serial`): the calling thread
+journals every completed cell through the ``repro-checkpoint-v1`` writer
+(:mod:`repro.sweep.checkpoint`) as its outcome arrives, so a SIGINT/reboot
+mid-campaign costs at most the cells in flight.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
+import queue
 import signal
+import socket
 import threading
 import time
 from collections import deque
@@ -54,12 +61,13 @@ from repro.util.errors import AnalysisError, ModelError, ReproError
 
 __all__ = [
     "SupervisorConfig",
-    "Supervisor",
+    "WorkerPool",
     "cell_attribution",
     "degraded_cell_result",
     "degraded_interval",
     "discard_worker",
     "quarantined_cell_result",
+    "run_supervised_pool",
     "run_supervised_serial",
     "spawn_worker",
 ]
@@ -268,7 +276,7 @@ def run_supervised_serial(tasks, config: SupervisorConfig, journal=None) -> dict
 
     Deadlines are enforced *cooperatively* (through the engines' deadline
     hooks -- a serial run has nobody to SIGKILL it); exceptions degrade or
-    raise exactly like the multiprocess supervisor.  A ``"crash"``/``"oom"``
+    raise exactly like the worker pool.  A ``"crash"``/``"oom"``
     fault (or a real one) takes the whole process down -- which is precisely
     the interrupted-run scenario the checkpoint journal recovers from.
     """
@@ -276,11 +284,8 @@ def run_supervised_serial(tasks, config: SupervisorConfig, journal=None) -> dict
 
     results: dict[int, object] = {}
     for index, cell in tasks:
-        deadline = (
-            time.perf_counter() + config.deadline_seconds
-            if config.deadline_seconds is not None
-            else None
-        )
+        deadline = (None if config.deadline_seconds is None
+                    else time.perf_counter() + config.deadline_seconds)
         try:
             result = run_cell(cell, index=index, deadline=deadline)
         except ReproError as exc:
@@ -301,7 +306,7 @@ def _worker_main(conn, initializer=None) -> None:
 
     An in-cell exception is reported as an ``("error", ...)`` payload -- the
     worker itself is healthy and keeps serving.  Only pipe loss (the
-    supervisor went away) or a poison pill ends the loop.
+    pool went away) or a poison pill ends the loop.
     """
     from repro.sweep.runner import _worker_init, run_cell
 
@@ -337,11 +342,7 @@ class _WorkerHandle:
 
 
 def spawn_worker(context, initializer=None) -> _WorkerHandle:
-    """Start one supervised worker on a private duplex pipe.
-
-    Shared by :class:`Supervisor` (batch sweeps) and the analysis
-    service's persistent pool (:mod:`repro.serve.pool`).
-    """
+    """Start one :class:`WorkerPool` worker on a private duplex pipe."""
     parent_conn, child_conn = context.Pipe(duplex=True)
     process = context.Process(
         target=_worker_main,
@@ -364,195 +365,268 @@ def discard_worker(worker: _WorkerHandle) -> None:
     worker.process.join()
 
 
-def _interruptible_sleep(seconds: float) -> None:
-    """Sleep in short slices so SIGINT/SIGTERM interrupt within ~0.2 s.
+# ----------------------------------------------------------------------- pool
+class WorkerPool:
+    """Supervised, self-healing worker pool over an open-ended job stream.
 
-    A single long ``time.sleep`` is restarted by Python after the C-level
-    signal handler runs, and on some platforms the KeyboardInterrupt only
-    surfaces once the full sleep elapses.  Chunking bounds the teardown
-    latency of a supervisor interrupted during retry backoff.
+    A dispatcher thread owns the worker processes and multiplexes their
+    pipes, their process sentinels and a wake-up socket through
+    ``multiprocessing.connection.wait``.  Jobs arrive through :meth:`submit`
+    from any thread and settle by ``callback(kind, value, attempts)`` in the
+    dispatcher thread, with one of four outcomes:
+
+    * ``"ok"``       -- *value* is the worker's result;
+    * ``"error"``    -- a deterministic in-worker exception (the worker
+      survives; retrying would deterministically fail again), or the pool
+      shut down before the job finished;
+    * ``"died"``     -- the worker died abnormally on every allowed attempt
+      (retried with exponential backoff in between);
+    * ``"deadline"`` -- the job overran the hard per-attempt deadline and its
+      worker was SIGKILLed (no retry: a hang already burnt a full deadline).
+
+    For every kind but ``"ok"`` *value* is the failure text.  The caller
+    decides what an outcome means -- journal, cache, degrade, quarantine;
+    the pool guarantees that every submitted job settles exactly once and
+    that a dead worker is always replaced.
     """
-    deadline = time.perf_counter() + seconds
-    while True:
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            return
-        time.sleep(min(remaining, 0.2))
 
+    def __init__(self, workers: int, config: SupervisorConfig | None = None,
+                 start_method: str = "spawn", initializer=None):
+        import multiprocessing
 
-# ----------------------------------------------------------------- supervisor
-class Supervisor:
-    """The multiprocess supervision loop (see the module docstring)."""
-
-    def __init__(self, tasks, workers: int, context, config: SupervisorConfig,
-                 journal=None, initializer=None):
-        #: remaining work as (index, cell) pairs
-        self.tasks = list(tasks)
-        self.worker_count = max(1, min(int(workers), len(self.tasks) or 1))
-        self.context = context
-        self.config = config
-        self.journal = journal
+        self.config = config or SupervisorConfig()
+        self.context = multiprocessing.get_context(start_method)
         self.initializer = initializer
-        self._sequence = 0
+        #: workers respawned after an abnormal death or deadline kill
+        self.restarts = 0
+        self._lock = threading.Lock()
+        # a task is (index, job, attempt, callback)
+        self._inbox: deque = deque()          # tasks from submit()
+        self._pending: deque = deque()        # tasks ready for a worker
+        self._delayed: list = []              # heap: (ready_at, sequence, task)
+        self._busy: dict = {}                 # worker -> (task, kill_at)
+        self._stop = False
+        self._sequence = itertools.count(1)
+        # the wake channel: submit()/shutdown() write one byte, the
+        # dispatcher's connection.wait returns immediately
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._workers = [spawn_worker(self.context, initializer)
+                         for _ in range(max(1, int(workers)))]
+        self._idle = list(self._workers)
+        self._thread = threading.Thread(target=self._run, name="worker-pool",
+                                        daemon=True)
+        self._thread.start()
 
-    # -- worker lifecycle -------------------------------------------------
-    def _spawn(self) -> _WorkerHandle:
-        return spawn_worker(self.context, self.initializer)
+    # -- client side ------------------------------------------------------
+    def submit(self, job, callback, index: int | None = None) -> None:
+        """Enqueue *job*; *callback(kind, value, attempts)* settles it.
+
+        *index* reaches the worker as the job's fault-injection index (a
+        sweep passes the cell index); without one the pool numbers the job.
+        The callback runs in the dispatcher thread -- keep it tiny (hand the
+        outcome to the caller's thread or event loop).
+        """
+        if index is None:
+            index = next(self._sequence)
+        with self._lock:
+            if self._stop:
+                raise RuntimeError("pool is shut down")
+            self._inbox.append((index, job, 1, callback))
+        self._wake()
+
+    @property
+    def depth(self) -> int:
+        """Jobs admitted but not yet settled (queued + retrying + running)."""
+        with self._lock:
+            return (len(self._inbox) + len(self._pending)
+                    + len(self._delayed) + len(self._busy))
+
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Stop dispatching, settle unfinished jobs, reap every worker.
+
+        Every job still owed an outcome settles once as ``("error", "pool
+        shut down")``, so no caller awaits forever.
+        """
+        with self._lock:
+            self._stop = True
+        self._wake()
+        self._thread.join(timeout)
+        for worker in self._workers:
+            discard_worker(worker)
+        self._workers.clear()
+        self._wake_recv.close()
+        self._wake_send.close()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_send.send(b"x")
+        except OSError:  # pragma: no cover - shutting down
+            pass
+
+    # -- dispatcher side --------------------------------------------------
+    def _respawn(self, worker) -> None:
+        discard_worker(worker)
+        self._workers.remove(worker)
+        self.restarts += 1
+        fresh = spawn_worker(self.context, self.initializer)
+        self._workers.append(fresh)
+        self._idle.append(fresh)
 
     @staticmethod
-    def _discard(worker: _WorkerHandle) -> None:
-        discard_worker(worker)
+    def _deliver(task, kind: str, value) -> None:
+        _index, _job, attempt, callback = task
+        try:
+            callback(kind, value, attempt)
+        except Exception:  # pragma: no cover - a callback must not kill the pool
+            pass
 
-    # -- outcomes ---------------------------------------------------------
-    def _complete(self, results: dict, index: int, result) -> None:
-        results[index] = result
-        if self.journal is not None:
-            self.journal.record(index, result)
-
-    def _settled(self, results: dict, index: int, cell, reason: str,
-                 attempts: int) -> None:
-        self._complete(results, index,
-                       _settle(cell, index, reason, attempts, self.config))
-
-    # -- the loop ---------------------------------------------------------
-    def run(self) -> dict:
+    def _run(self) -> None:
         from multiprocessing.connection import wait as connection_wait
 
         config = self.config
-        # SIGTERM must tear the pool down exactly like Ctrl-C: raise
-        # KeyboardInterrupt so the `finally` block below reaps every live
-        # worker (a raw SIGTERM death would orphan them).  Signal handlers
-        # are process-global and main-thread-only; restore on exit.
-        restore_sigterm = False
-        previous_sigterm = None
-        if threading.current_thread() is threading.main_thread():
-            def _on_sigterm(signum, frame):  # pragma: no cover - signal path
-                raise KeyboardInterrupt
-            previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
-            restore_sigterm = True
-        results: dict[int, object] = {}
-        pending: deque = deque((index, cell, 1) for index, cell in self.tasks)
-        delayed: list = []  # heap of (ready_at, sequence, index, cell, attempt)
-        total = len(self.tasks)
-        workers = [self._spawn() for _ in range(self.worker_count)]
-        idle: list[_WorkerHandle] = list(workers)
-        busy: dict[_WorkerHandle, tuple] = {}
-
-        def retry_later(index: int, cell, attempt: int) -> None:
-            self._sequence += 1
-            ready_at = time.perf_counter() + config.backoff(attempt)
-            heapq.heappush(delayed, (ready_at, self._sequence, index, cell, attempt))
-
-        def replace(worker: _WorkerHandle) -> None:
-            self._discard(worker)
-            workers.remove(worker)
-            fresh = self._spawn()
-            workers.append(fresh)
-            idle.append(fresh)
-
-        try:
-            while len(results) < total:
-                now = time.perf_counter()
-                while delayed and delayed[0][0] <= now:
-                    _, _, index, cell, attempt = heapq.heappop(delayed)
-                    pending.append((index, cell, attempt))
-                while pending and idle:
-                    worker = idle.pop()
-                    if not worker.process.is_alive():  # pragma: no cover - rare
-                        self._discard(worker)
-                        workers.remove(worker)
-                        worker = self._spawn()
-                        workers.append(worker)
-                    index, cell, attempt = pending.popleft()
-                    worker.conn.send((index, attempt, cell))
-                    deadline = (
-                        now + config.deadline_seconds
-                        if config.deadline_seconds is not None
-                        else None
-                    )
-                    busy[worker] = (index, cell, attempt, deadline)
-                if not busy:
-                    if delayed:
-                        # interruptible: Ctrl-C/SIGTERM during a retry backoff
-                        # must not stall teardown for the full backoff
-                        _interruptible_sleep(
-                            max(0.0, delayed[0][0] - time.perf_counter())
-                        )
+        while True:
+            with self._lock:
+                if self._stop:
+                    break
+                self._pending.extend(self._inbox)
+                self._inbox.clear()
+            now = time.perf_counter()
+            while self._delayed and self._delayed[0][0] <= now:
+                self._pending.append(heapq.heappop(self._delayed)[-1])
+            while self._pending and self._idle:
+                worker = self._idle.pop()
+                if not worker.process.is_alive():  # pragma: no cover - rare
+                    self._respawn(worker)
+                    self.restarts -= 1  # replacing an idle corpse, not a job kill
+                    worker = self._idle.pop()
+                task = self._pending.popleft()
+                index, job, attempt, _callback = task
+                try:
+                    worker.conn.send((index, attempt, job))
+                except (BrokenPipeError, OSError):  # pragma: no cover - rare
+                    self._respawn(worker)
+                    self._pending.appendleft(task)
                     continue
+                kill_at = (now + config.deadline_seconds
+                           if config.deadline_seconds is not None else None)
+                self._busy[worker] = (task, kill_at)
 
-                timeout = None
-                for _index, _cell, _attempt, deadline in busy.values():
-                    if deadline is not None:
-                        remaining = deadline - time.perf_counter()
-                        timeout = remaining if timeout is None else min(timeout, remaining)
-                if delayed:
-                    remaining = delayed[0][0] - time.perf_counter()
-                    timeout = remaining if timeout is None else min(timeout, remaining)
-                if timeout is not None:
-                    timeout = max(0.0, timeout)
+            timeout = 0.5  # upper bound: notice shutdown/new work promptly
+            for _task, kill_at in self._busy.values():
+                if kill_at is not None:
+                    timeout = min(timeout, kill_at - time.perf_counter())
+            if self._delayed:
+                timeout = min(timeout, self._delayed[0][0] - time.perf_counter())
+            watched: dict[object, object] = {self._wake_recv: None}
+            for worker in self._busy:
+                watched[worker.conn] = worker
+                watched[worker.process.sentinel] = worker
+            ready = connection_wait(list(watched), timeout=max(0.0, timeout))
 
-                watched: dict[object, _WorkerHandle] = {}
-                for worker in busy:
-                    watched[worker.conn] = worker
-                    watched[worker.process.sentinel] = worker
-                ready = connection_wait(list(watched), timeout=timeout)
-                for worker in {watched[obj] for obj in ready}:
-                    index, cell, attempt, _deadline = busy.pop(worker)
-                    payload = None
-                    if worker.conn.poll():
-                        try:
-                            payload = worker.conn.recv()
-                        except (EOFError, OSError):
-                            payload = None
-                    if payload is None:
-                        # abnormal exit: no result ever made it onto the pipe
-                        worker.process.join()
-                        exitcode = worker.process.exitcode
-                        replace(worker)
-                        if attempt < config.max_attempts:
-                            retry_later(index, cell, attempt + 1)
-                        else:
-                            self._settled(
-                                results, index, cell,
-                                f"worker died abnormally (exit code {exitcode}) "
-                                f"on all {attempt} attempt(s)",
-                                attempt,
-                            )
-                    else:
-                        status, _echo, value = payload
-                        idle.append(worker)
-                        if status == "ok":
-                            self._complete(results, index, value)
-                        else:
-                            # a deterministic in-worker exception: retrying
-                            # would deterministically fail again
-                            self._settled(results, index, cell, str(value), attempt)
-
-                # hard deadlines: kill overrunning workers, no retry -- a hang
-                # already burnt a full deadline; degrade (or raise) directly
-                now = time.perf_counter()
-                overdue = [
-                    worker for worker, (_i, _c, _a, deadline) in busy.items()
-                    if deadline is not None and now > deadline
-                ]
-                for worker in overdue:
-                    index, cell, attempt, _deadline = busy.pop(worker)
-                    worker.process.kill()
-                    replace(worker)
-                    self._settled(
-                        results, index, cell,
-                        f"hard deadline of {config.deadline_seconds}s exceeded "
-                        f"(worker killed)",
-                        attempt,
-                    )
-            return results
-        finally:
-            if restore_sigterm:
-                signal.signal(signal.SIGTERM, previous_sigterm)
-            for worker in workers:
-                if worker not in busy and worker.process.is_alive():
-                    try:
-                        worker.conn.send(None)
-                    except (BrokenPipeError, OSError):
+            if self._wake_recv in ready:
+                try:
+                    while self._wake_recv.recv(4096):
                         pass
-                self._discard(worker)
+                except BlockingIOError:
+                    pass
+            for worker in {watched[obj] for obj in ready if watched[obj] is not None}:
+                task, _kill_at = self._busy.pop(worker)
+                index, job, attempt, callback = task
+                payload = None
+                if worker.conn.poll():
+                    try:
+                        payload = worker.conn.recv()
+                    except (EOFError, OSError):
+                        payload = None
+                if payload is None:
+                    # abnormal exit mid-job: no result ever made it onto the pipe
+                    worker.process.join()
+                    exitcode = worker.process.exitcode
+                    self._respawn(worker)
+                    if attempt < config.max_attempts:
+                        ready_at = time.perf_counter() + config.backoff(attempt + 1)
+                        heapq.heappush(self._delayed, (
+                            ready_at, next(self._sequence),
+                            (index, job, attempt + 1, callback),
+                        ))
+                    else:
+                        self._deliver(task, "died",
+                                      f"worker died abnormally (exit code {exitcode}) "
+                                      f"on all {attempt} attempt(s)")
+                else:
+                    status, _echo, value = payload
+                    self._idle.append(worker)
+                    self._deliver(task, status, value)
+
+            # hard deadlines: SIGKILL overrunning workers, settle without retry
+            now = time.perf_counter()
+            overdue = [worker for worker, (_task, kill_at) in self._busy.items()
+                       if kill_at is not None and now > kill_at]
+            for worker in overdue:
+                task, _kill_at = self._busy.pop(worker)
+                worker.process.kill()
+                self._respawn(worker)
+                self._deliver(task, "deadline",
+                              f"hard deadline of {config.deadline_seconds}s "
+                              f"exceeded (worker killed)")
+
+        # shutdown: poison-pill the idle workers (the final reap happens in
+        # shutdown(), on the caller's thread) and cancel every unsettled job
+        for worker in self._idle:
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):  # pragma: no cover
+                pass
+        with self._lock:
+            unsettled = [*self._inbox, *self._pending,
+                         *(task for _ready_at, _sequence, task in self._delayed),
+                         *(task for task, _kill_at in self._busy.values())]
+        for task in unsettled:
+            self._deliver(task, "error", "pool shut down")
+
+
+def run_supervised_pool(tasks, workers: int, config: SupervisorConfig,
+                        start_method: str = "spawn", journal=None,
+                        initializer=None) -> dict:
+    """Run ``(index, cell)`` tasks on a :class:`WorkerPool`.
+
+    Every cell is submitted under its sweep index (fault plans target cells
+    by index).  The calling thread reads the outcomes from a queue, settles
+    each failure per the policy (degrade, quarantine or raise) and journals
+    each result while the pool keeps dispatching.  On the main thread
+    SIGTERM is raised as ``KeyboardInterrupt``, exactly like Ctrl-C, so the
+    ``finally`` block shuts the pool down and reaps every worker before an
+    interrupt propagates (a raw SIGTERM death would orphan them).
+    """
+    tasks = list(tasks)
+    outcomes: queue.SimpleQueue = queue.SimpleQueue()
+    results: dict[int, object] = {}
+    pool = WorkerPool(workers, config, start_method, initializer)
+    # signal handlers are process-global and main-thread-only; restore on exit
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        def _on_sigterm(signum, frame):  # pragma: no cover - signal path
+            raise KeyboardInterrupt
+        previous_sigterm = signal.signal(signal.SIGTERM, _on_sigterm)
+    try:
+        for index, cell in tasks:
+            pool.submit(cell, lambda kind, value, attempts, index=index, cell=cell:
+                        outcomes.put((index, cell, kind, value, attempts)),
+                        index=index)
+        while len(results) < len(tasks):
+            # short slices: Ctrl-C/SIGTERM must not wait out a retry backoff
+            try:
+                index, cell, kind, value, attempts = outcomes.get(timeout=0.2)
+            except queue.Empty:
+                continue
+            if kind != "ok":
+                value = _settle(cell, index, value, attempts, config)
+            results[index] = value
+            if journal is not None:
+                journal.record(index, value)
+        return results
+    finally:
+        pool.shutdown()
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous_sigterm)

@@ -74,6 +74,20 @@ class TestResultCache:
             handle.write('{"fingerprint": "fp2", "body": "bo')  # died mid-write
         assert load_cache(path) == {"fp1": "body1"}
 
+    def test_restart_after_torn_final_line_appends_cleanly(self, tmp_path):
+        # a server SIGKILLed mid-append must survive a second restart too
+        path = str(tmp_path / "serve.cache.jsonl")
+        with ResultCache(path) as cache:
+            cache.put("fp1", "m1", "body1")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"fingerprint": "fp2", "body": "bo')  # died mid-write
+        with ResultCache(path) as cache:
+            assert len(cache) == 1
+            cache.put("fp2", "m2", "body2")
+            cache.put("fp3", "m3", "body3")
+        assert load_cache(path) == {"fp1": "body1", "fp2": "body2",
+                                    "fp3": "body3"}
+
     def test_corrupt_middle_line_rejected(self, tmp_path):
         path = str(tmp_path / "serve.cache.jsonl")
         with ResultCache(path) as cache:

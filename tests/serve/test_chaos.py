@@ -28,7 +28,7 @@ from repro.serve.smoke import (
     stop_server,
     two_task_model_dict,
 )
-from repro.sweep.faults import FaultPlan, FaultSpec, install_plan
+from repro.sweep.faults import CRASH_EXIT_CODE, FaultPlan, FaultSpec, install_plan
 
 #: the server's hard per-job deadline, counted from dispatch to a worker
 DEADLINE_SECONDS = 8.0
@@ -42,9 +42,11 @@ STALL_SECONDS = DEADLINE_SECONDS / 4
 #: the chaos plan: a model that crashes its worker on every attempt, one
 #: that OOM-exits, one that hangs past the hard deadline, one whose
 #: degraded fallback is poisoned too, and ones that merely stall
-#: (in-flight long enough to race requests against)
+#: (in-flight long enough to race requests against), plus a /batch grid
+#: cell that crashes its worker on every attempt
 PLAN = FaultPlan((
     FaultSpec(cell="serve/chaos-crash", action="crash"),
+    FaultSpec(cell="AL+TMC/po/TMC", action="crash"),
     FaultSpec(cell="serve/chaos-oom", action="oom", megabytes=8),
     FaultSpec(cell="serve/chaos-hang", action="hang", hang_seconds=300.0),
     FaultSpec(cell="serve/chaos-poison", action="crash"),
@@ -120,6 +122,22 @@ class TestChaos:
         assert status == 200 and result["status"] == "degraded", result
         assert "exit code" in result["failure"]
         healthy(chaos_server.port)
+
+    def test_batch_reports_the_pool_failure_text(self, chaos_server):
+        payload = {"grid": {
+            "combinations": ["AL+TMC"],
+            "configurations": ["po"],
+            "requirements": ["TMC"],
+            "settings": {"max_states": 200},
+        }}
+        status, _headers, body = post_json(chaos_server.port, "/batch", payload)
+        assert status == 200, body
+        assert json.loads(body)["points"]["AL+TMC/po/TMC"] == {
+            "termination": "failed",
+            "failure": (f"worker died abnormally (exit code {CRASH_EXIT_CODE}) "
+                        f"on all 2 attempt(s)"),
+            "attempts": 2,
+        }
 
     def test_hang_is_deadline_killed_then_degraded(self, chaos_server):
         # health must stay green *while* the hang is burning its deadline

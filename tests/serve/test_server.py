@@ -160,11 +160,11 @@ class TestRetryAfter:
     def test_queue_full_429_derives_from_depth_and_latency(
         self, server, monkeypatch
     ):
-        from repro.serve.pool import ServePool
+        from repro.sweep.supervisor import WorkerPool
 
         # a saturated queue (depth == queue_limit == 8) with a known job
         # latency history: the header must say ceil(8 * mean(1.5, 2.5))
-        monkeypatch.setattr(ServePool, "depth", property(lambda self: 8))
+        monkeypatch.setattr(WorkerPool, "depth", property(lambda self: 8))
         server.server._latencies.clear()
         server.server._latencies.extend([1.5, 2.5])
         status, headers, body = post_json(
@@ -176,9 +176,9 @@ class TestRetryAfter:
     def test_batch_429_shares_the_derived_retry_after(
         self, server, monkeypatch
     ):
-        from repro.serve.pool import ServePool
+        from repro.sweep.supervisor import WorkerPool
 
-        monkeypatch.setattr(ServePool, "depth", property(lambda self: 8))
+        monkeypatch.setattr(WorkerPool, "depth", property(lambda self: 8))
         server.server._latencies.clear()
         server.server._latencies.extend([0.5])
         payload = {"grid": {
@@ -194,9 +194,9 @@ class TestRetryAfter:
     def test_queue_full_429_floors_at_one_second_without_history(
         self, server, monkeypatch
     ):
-        from repro.serve.pool import ServePool
+        from repro.sweep.supervisor import WorkerPool
 
-        monkeypatch.setattr(ServePool, "depth", property(lambda self: 8))
+        monkeypatch.setattr(WorkerPool, "depth", property(lambda self: 8))
         server.server._latencies.clear()
         status, headers, _body = post_json(
             server.port, "/analyze",

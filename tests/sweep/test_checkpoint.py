@@ -96,6 +96,24 @@ class TestJournal:
         completed = load_checkpoint(path, ["cell0", "cell1"])
         assert list(completed) == [0]
 
+    def test_resume_after_torn_final_line_appends_cleanly(self, tmp_path):
+        # the resumed journal must not append onto the torn bytes: the next
+        # load would then find a corrupt record in the middle of the file
+        path = str(tmp_path / "sweep.checkpoint.jsonl")
+        names = ["cell0", "cell1", "cell2"]
+        result = run_cell(small_cell(0))
+        with CheckpointJournal(path, names) as journal:
+            journal.record(0, result)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"index": 1, "name": "cell1", "resu')  # died mid-write
+        with CheckpointJournal(path, names, resume=True) as journal:
+            assert list(journal.completed) == [0]
+            journal.record(1, run_cell(small_cell(1)))
+            journal.record(2, run_cell(small_cell(2)))
+        completed = load_checkpoint(path, names)
+        assert sorted(completed) == [0, 1, 2]
+        assert det(completed[0]) == det(result)
+
     def test_corrupt_middle_line_rejected(self, tmp_path):
         path = str(tmp_path / "sweep.checkpoint.jsonl")
         result = run_cell(small_cell(0))
@@ -193,6 +211,22 @@ class TestRunSweepCheckpointing:
         assert [det(r) for r in resumed] == [det(r) for r in uninterrupted]
         # the journal now carries all four cells
         assert sorted(load_checkpoint(path, names)) == [0, 1, 2, 3]
+
+    def test_wall_throughput_counts_only_computed_cells(self, tmp_path):
+        path = str(tmp_path / "sweep.checkpoint.jsonl")
+        cells = [small_cell(i) for i in range(2)]
+        with CheckpointJournal(path, [cell.name for cell in cells]) as journal:
+            journal.record(0, run_cell(cells[0]))
+        partial = run_sweep(cells, workers=1, checkpoint=path, resume=True)
+        assert partial.resumed == 1
+        assert partial.sweep_states_per_second == pytest.approx(
+            partial.results[1].states_explored / partial.wall_seconds)
+        # a fully resumed sweep explored nothing in its own wall time
+        full = run_sweep(cells, workers=1, checkpoint=path, resume=True)
+        assert full.resumed == 2
+        assert full.total_states > 0
+        assert full.sweep_states_per_second == 0.0
+        assert full.points()["sweep"]["sweep_states_per_second"] == 0.0
 
 
 _INTERRUPTED_SCRIPT = """

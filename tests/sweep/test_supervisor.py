@@ -9,11 +9,13 @@ see it too).  The paths pinned here:
 * hang -> hard-deadline SIGKILL -> degraded analytic bounds
 * poison cell (fallback fails too) -> quarantine, sweep completes
 * serial supervision: cooperative deadlines, same degrade/raise semantics
+* the pool itself: shutdown with a job in flight, retries exhausted
 * SIGTERM during a retry backoff -> prompt teardown, all workers reaped
 """
 
 import multiprocessing
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from repro.sweep.cells import DiffCheckCell
 from repro.sweep.faults import CRASH_EXIT_CODE, FAULTS_ENV, OOM_EXIT_CODE
 from repro.sweep.supervisor import (
     SupervisorConfig,
+    WorkerPool,
     cell_attribution,
     degraded_cell_result,
     quarantined_cell_result,
@@ -270,6 +273,41 @@ class TestMultiprocessSupervision:
         assert len(multiprocessing.active_children()) <= before
 
 
+class TestWorkerPool:
+    """The pool below ``run_sweep`` (and ``repro-serve``), driven directly."""
+
+    def test_shutdown_settles_a_job_in_flight_once_and_reaps(self):
+        install_plan(FaultPlan((
+            FaultSpec(cell="cell0", action="hang", hang_seconds=60.0),
+        )))
+        outcomes = []
+        pool = WorkerPool(1, SupervisorConfig(**FAST), start_method="fork")
+        pool.submit(cell(0), lambda *outcome: outcomes.append(outcome), index=0)
+        deadline = time.monotonic() + 30.0
+        while not pool._busy and time.monotonic() < deadline:
+            time.sleep(0.05)  # until the worker holds the (hanging) job
+        assert pool._busy
+        pool.shutdown()
+        assert outcomes == [("error", "pool shut down", 1)]
+        assert multiprocessing.active_children() == []
+
+    def test_crash_on_every_attempt_settles_as_died(self):
+        # the fault targets index 5: the submitted index reaches the worker
+        install_plan(FaultPlan((FaultSpec(cell=5, action="crash"),)))
+        outcomes = queue.SimpleQueue()
+        pool = WorkerPool(1, SupervisorConfig(max_attempts=2, **FAST),
+                          start_method="fork")
+        try:
+            pool.submit(cell(0), lambda *outcome: outcomes.put(outcome), index=5)
+            kind, value, attempts = outcomes.get(timeout=60)
+        finally:
+            pool.shutdown()
+        assert (kind, attempts) == ("died", 2)
+        assert value == (f"worker died abnormally (exit code {CRASH_EXIT_CODE}) "
+                         f"on all 2 attempt(s)")
+        assert pool.restarts == 2
+
+
 class TestAcceptanceSweep:
     """The ISSUE's acceptance scenario: a 20-cell sweep with one crash, one
     hang and one poison cell completes with 19 usable results."""
@@ -320,7 +358,7 @@ from repro.sweep.supervisor import SupervisorConfig
 def main():
     # cell0 crashes on every attempt; the 120 s backoff between retries is
     # where SIGTERM lands -- far longer than the test's patience, so only an
-    # interruptible sleep lets the process die on time
+    # interruptible wait lets the process die on time
     install_plan(FaultPlan((FaultSpec(cell="cell0", action="crash"),)))
     cells = [SweepCell(
         name="cell%d" % i, requirement="TMC", combination="AL+TMC",
@@ -350,9 +388,9 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 class TestInterruptibleBackoff:
     """SIGTERM during a long retry backoff must tear the pool down promptly
-    (the supervisor translates it to KeyboardInterrupt and its interruptible
-    sleep wakes within a slice, not after the full 120 s backoff) and reap
-    every worker before the interrupt propagates."""
+    (the sweep translates it to KeyboardInterrupt and reads outcomes in
+    short slices, so it wakes within one, not after the full 120 s backoff)
+    and reap every worker before the interrupt propagates."""
 
     def test_sigterm_during_backoff_reaps_workers_promptly(self, tmp_path):
         script = tmp_path / "backoff_sweep.py"
@@ -377,7 +415,7 @@ class TestInterruptibleBackoff:
                 proc.kill()
                 proc.wait()
         assert exitcode == 3, output
-        # teardown must be prompt (sleep slices are 0.2 s), nowhere near
-        # the 120 s backoff it interrupted
+        # teardown must be prompt (outcome reads are 0.2 s slices), nowhere
+        # near the 120 s backoff it interrupted
         assert elapsed < 30.0, f"teardown took {elapsed:.1f}s: {output}"
         assert "INTERRUPTED children=0" in output, output
