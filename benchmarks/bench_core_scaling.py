@@ -166,7 +166,6 @@ def run_shard_cell(
             "wall_seconds": round(timer.seconds, 4),
             "shard_workers": stats.shard_workers,
             "shard_handoffs": stats.shard_handoffs,
-            "shard_steals": stats.shard_steals,
         }
         if best is None or point["states_per_second"] > best["states_per_second"]:
             best = point
@@ -583,8 +582,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"  {name:14s} {point['states_explored']:7d} states  "
                     f"{point['states_per_second']:9.1f} states/s  "
                     f"({point['speedup_vs_scalar']:.2f}x vs {scalar_name}, "
-                    f"{point['shard_handoffs']} handoffs, "
-                    f"{point['shard_steals']} steals)"
+                    f"{point['shard_handoffs']} handoffs)"
                 )
 
     aggregate = round(total_states / total_seconds, 1) if total_seconds else 0.0

@@ -9,7 +9,7 @@ transport, and two transports drive the same class:
 
 * **in-process** (``shard_workers`` 0 or 1, :class:`_LocalFleet`): one
   partition owns every key and the coordinator calls it directly -- no
-  fork, no pipes, no stealing;
+  fork, no pipes;
 * **forked** (``shard_workers >= 2``, :class:`_ForkedFleet` behind
   :class:`ShardedExplorer`): one worker process per partition
   (:class:`_ShardWorker`); the rows of the candidates a worker hands to
@@ -17,26 +17,25 @@ transport, and two transports drive the same class:
   reply, which the coordinator forwards in that partition's decide
   message (each candidate group carries its offset into the array).
 
+In both, every frontier state is expanded by the partition that stored it:
+states never move between partitions, only successor candidates do.
+
 Round protocol
 --------------
 The exploration proceeds in *rounds*, each a contiguous range of the scalar
 BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 
-1. **ship** (forked only, optional): when the coordinator's deterministic
-   count-based work-stealing pass finds a skewed frontier, the richest
-   partition ships half of its surplus (the highest-sequence states) to the
-   poorest.
-2. **expand**: every partition pops its frontier states below the round
+1. **expand**: every partition pops its frontier states below the round
    horizon, pushes them through the batched successor kernels
    (:meth:`SuccessorGenerator.block_successors`), folds each target key onto
    its symmetry representative *before* hashing, and routes each candidate
    -- tagged ``(parent_seq, plan_index)`` -- to the owner of its target key.
-3. **decide**: every partition sorts the candidates it owns by tag and
+2. **decide**: every partition sorts the candidates it owns by tag and
    replays the scalar store discipline per key: one batched
    :meth:`Federation.covers_many` pass against the pre-round federation,
    vectorised within-round screens, one round-wide batched extrapolation,
    and a single :meth:`Federation.add_many_uncovered` flush per key.
-4. **merge**: the coordinator lexsorts the reported tags, assigns global
+3. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
    deferred plan errors and the supremum in tag order.
@@ -84,6 +83,7 @@ import struct
 import time
 import zlib
 from array import array
+from collections import deque
 
 import numpy as np
 
@@ -101,10 +101,6 @@ from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
 from repro.util.errors import AnalysisError
 
 __all__ = ["ShardedExplorer", "explore_layered", "select_explorer"]
-
-#: frontier imbalance (richest minus poorest partition) above which the
-#: coordinator ships half the surplus; tests shrink it to force steals
-_STEAL_THRESHOLD = 64
 
 #: expansions per round while a time budget is set (the deadline is checked
 #: between rounds, so this bounds the overshoot; docs/performance.md gives
@@ -251,8 +247,8 @@ class _Partition:
 
     Holds the passed federations of the keys it owns and the frontier states
     awaiting expansion, and runs the steps of a round (:meth:`expand`,
-    :meth:`decide`, :meth:`ship`).  In-process the coordinator calls it
-    directly; forked it runs behind a :class:`_ShardWorker`.
+    :meth:`decide`).  In-process the coordinator calls it directly; forked
+    it runs behind a :class:`_ShardWorker`.
     """
 
     def __init__(self, rank, workers, explorer, spec, initial, root_key):
@@ -264,8 +260,9 @@ class _Partition:
         self.dim = explorer.network.dim
         self.n_instances = len(explorer.network.instances)
         self.passed: dict[bytes, Federation] = {}
-        #: seq -> (key_bytes, state); stored, not yet expanded
-        self.frontier: dict[int, tuple[bytes, SymbolicState]] = {}
+        #: (seq, key_bytes, state), stored, not yet expanded; FIFO, because
+        #: the coordinator hands every partition its seqs in increasing order
+        self.frontier: deque[tuple[int, bytes, SymbolicState]] = deque()
         #: stored last round, awaiting sequence numbers (tag order)
         self.unassigned: list[tuple[bytes, SymbolicState]] = []
         #: candidate groups this partition generated for its own keys
@@ -275,18 +272,18 @@ class _Partition:
             federation = Federation(self.dim)
             federation.add_uncovered(initial.zone)
             self.passed[root_key] = federation
-            self.frontier[0] = (root_key, initial)
+            self.frontier.append((0, root_key, initial))
 
     def _install(self, assigned) -> None:
         """Bind the coordinator's sequence numbers to last round's stores."""
         if len(assigned) != len(self.unassigned):  # pragma: no cover
             raise AnalysisError("shard sequence assignment out of step")
         for (key, state), seq in zip(self.unassigned, assigned):
-            self.frontier[seq] = (key, state)
+            self.frontier.append((seq, key, state))
         self.unassigned = []
 
     # -------------------------------------------------------------- expand
-    def expand(self, upto, assigned, stolen=()) -> tuple:
+    def expand(self, upto, assigned) -> tuple:
         """Expand the owned frontier below *upto*.
 
         Returns ``(outgoing, error, handoffs)``: the candidate groups
@@ -296,19 +293,13 @@ class _Partition:
         of candidates handed to other partitions.
         """
         self._install(assigned)
-        for seq, key, row in stolen:
-            locations, variables = _unpack_key(key, self.n_instances)
-            zone = DBM(self.dim, raw=row)
-            self.frontier[seq] = (
-                key, SymbolicState(locations, variables, zone, key)
-            )
-
         # same-key runs of at most _MAX_STACK_ROWS each, so the batched
         # kernels never allocate round-sized buffers
         blocks: list[list] = []
         open_blocks: dict[bytes, list] = {}
-        for seq in sorted(seq for seq in self.frontier if seq < upto):
-            key, state = self.frontier.pop(seq)
+        frontier = self.frontier
+        while frontier and frontier[0][0] < upto:
+            seq, key, state = frontier.popleft()
             block = open_blocks.get(key)
             if block is None or len(block) == _MAX_STACK_ROWS:
                 block = open_blocks[key] = []
@@ -510,21 +501,6 @@ class _Partition:
                 federation.add_many_uncovered(flat_all[context.pending])
         return parents, plans, stored, folded_mask, goal_tag, self.sup_best
 
-    # -------------------------------------------------------------- stealing
-    def ship(self, seqs, assigned) -> list:
-        """Hand frontier states *seqs* to another partition (as raw rows)."""
-        # a ship can ask for seqs assigned at the end of the previous round,
-        # which normally travel with the next expand -- so the coordinator
-        # delivers them here instead (and sends the expand an empty list)
-        self._install(assigned)
-        shipped = []
-        for seq in seqs:
-            key, state = self.frontier.pop(seq)
-            # the zone stays in this partition's federation (coverage needs
-            # it); the thief gets a copy of the extrapolated matrix
-            shipped.append((seq, key, state.zone.m.copy()))
-        return shipped
-
 
 # ------------------------------------------------------------------ transports
 class _LocalFleet:
@@ -535,7 +511,7 @@ class _LocalFleet:
     def __init__(self, partition: _Partition):
         self.partition = partition
 
-    def expand(self, upto, assignments, stolen) -> list:
+    def expand(self, upto, assignments) -> list:
         return [self.partition.expand(upto, assignments[0])]
 
     def decide(self, incoming) -> list:
@@ -568,8 +544,6 @@ class _ShardWorker:
                     reply = ("expanded", *self._expand(*message[1:]))
                 elif tag == "decide":
                     reply = ("decided", *partition.decide(self._unpack(message[1])))
-                elif tag == "ship":
-                    reply = ("shipped", partition.ship(message[1], message[2]))
                 else:  # pragma: no cover - protocol bug
                     raise AnalysisError(f"unknown shard message {tag!r}")
                 _send(self.write_fd, reply)
@@ -589,14 +563,14 @@ class _ShardWorker:
                 pass
             os._exit(1)
 
-    def _expand(self, upto, assigned, stolen) -> tuple:
+    def _expand(self, upto, assigned) -> tuple:
         rank = self.partition.rank
         if not self._injected:
             self._injected = True
             from repro.sweep.faults import maybe_inject
 
             maybe_inject(f"shard/{rank}", rank, self.attempt, stage="shard")
-        outgoing, error, handoffs = self.partition.expand(upto, assigned, stolen)
+        outgoing, error, handoffs = self.partition.expand(upto, assigned)
         parcels = {}
         for dest, groups in outgoing.items():
             refs, offset = [], 0
@@ -663,20 +637,15 @@ class _ForkedFleet:
             os.close(child_write)
             self.handles.append(_Handle(rank, pid, parent_read, parent_write))
 
-    def expand(self, upto, assignments, stolen) -> list:
+    def expand(self, upto, assignments) -> list:
         for handle in self.handles:
-            _send(handle.write_fd, ("expand", upto, assignments[handle.rank],
-                                    stolen[handle.rank]))
+            _send(handle.write_fd, ("expand", upto, assignments[handle.rank]))
         return [self._reply(handle, "expanded")[1:] for handle in self.handles]
 
     def decide(self, incoming) -> list:
         for handle in self.handles:
             _send(handle.write_fd, ("decide", incoming[handle.rank]))
         return [self._reply(handle, "decided")[1:] for handle in self.handles]
-
-    def ship(self, rank, seqs, assigned) -> list:
-        _send(self.handles[rank].write_fd, ("ship", seqs, assigned))
-        return self._reply(self.handles[rank], "shipped")[1]
 
     def _reply(self, handle: _Handle, expected: str) -> tuple:
         message = _recv(handle.read_fd)
@@ -741,35 +710,32 @@ def explore_layered(explorer: Explorer, spec, visit, workers: int = 1,
     if workers == 1:
         fleet = _LocalFleet(_Partition(0, 1, explorer, spec, initial, root_key))
         return _coordinate(explorer, spec, visit, stats, fleet, initial,
-                           root_key, root_sup, deadline)
+                           root_sup, deadline)
     fleet = _ForkedFleet(workers)
     try:
         fleet.start(explorer, spec, initial, root_key, attempt)
         return _coordinate(explorer, spec, visit, stats, fleet, initial,
-                           root_key, root_sup, deadline)
+                           root_sup, deadline)
     finally:
         fleet.close()
 
 
-def _coordinate(explorer, spec, visit, stats, fleet, initial, root_key,
-                root_sup, deadline) -> ExplorationStatistics:
+def _coordinate(explorer, spec, visit, stats, fleet, initial, root_sup,
+                deadline) -> ExplorationStatistics:
     max_states = explorer.search.max_states
     record_traces = explorer.search.record_traces
     workers = fleet.workers
     #: seq -> the (parent_seq, plan_index) tag it was stored under; seq 0
     #: is the root
     parent_of, plan_of = array("q", [-1]), array("q", [-1])
-    #: per partition, the frontier seqs not yet expanded (stealing only)
-    pending: list[list[int]] = [[] for _ in range(workers)]
-    pending[_owner_of(root_key, workers)].append(0)
     next_seq = 1
     expanded = 0
     transitions = inclusions = folds = 0
     goal_tag = None
     partition_sup: list[tuple | None] = [None] * workers
-    #: sequence numbers assigned at the end of the previous round, to be
-    #: delivered with the next expand (aligned to each partition's
-    #: tag-sorted unassigned list)
+    #: sequence numbers assigned at the end of the previous round, in
+    #: increasing order, to be delivered with the next expand (aligned to
+    #: each partition's tag-sorted unassigned list)
     assignments: list[list[int]] = [[] for _ in range(workers)]
 
     while True:
@@ -785,42 +751,9 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_key,
         if deadline is not None:
             upto = min(upto, expanded + _DEADLINE_ROUND)
 
-        # deterministic count-based work stealing: the coordinator knows
-        # every partition's frontier, so victim, thief and the shipped seqs
-        # are pure functions of the (deterministic) assignment history
-        stolen: list[list] = [[] for _ in range(workers)]
-        if workers > 1:
-            counts = [
-                sum(1 for seq in queue if seq < upto) for queue in pending
-            ]
-            rich = max(range(workers), key=counts.__getitem__)
-            poor = min(range(workers), key=counts.__getitem__)
-            surplus = counts[rich] - counts[poor]
-            if surplus > _STEAL_THRESHOLD:
-                share = surplus // 2
-                shipped_seqs = sorted(
-                    seq for seq in pending[rich] if seq < upto
-                )[-share:]
-                if shipped_seqs:
-                    # the ship also delivers the victim's outstanding
-                    # sequence assignments (a shipped seq may have been
-                    # assigned only at the end of the previous round, in
-                    # which case it is not in the victim's frontier yet)
-                    stolen[poor] = fleet.ship(rich, shipped_seqs,
-                                              assignments[rich])
-                    assignments[rich] = []
-                    moved = set(shipped_seqs)
-                    pending[rich] = [
-                        seq for seq in pending[rich] if seq not in moved
-                    ]
-                    pending[poor].extend(shipped_seqs)
-                    stats.shard_steals += len(shipped_seqs)
-
         error = None
         incoming: list[list] = [[] for _ in range(workers)]
-        for outgoing, worker_error, handoffs in fleet.expand(
-            upto, assignments, stolen
-        ):
+        for outgoing, worker_error, handoffs in fleet.expand(upto, assignments):
             stats.shard_handoffs += handoffs
             if worker_error is not None and (
                 error is None or worker_error[0] < error[0]
@@ -880,10 +813,6 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_key,
         next_seq += len(new)
 
         expanded = upto
-        if workers > 1:
-            for rank in range(workers):
-                pending[rank] = [seq for seq in pending[rank] if seq >= upto]
-                pending[rank].extend(assignments[rank])
         if goal_tag is not None:
             stats.termination = "goal"
             break

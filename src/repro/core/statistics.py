@@ -43,8 +43,10 @@ class ExplorationStatistics:
     #: successor candidates handed off to a different shard (the generating
     #: worker did not own the target discrete key)
     shard_handoffs: int = field(default=0, compare=False)
-    #: frontier states shipped between shards by the deterministic
-    #: work-stealing pass
+    #: always 0 (frontier states never move between partitions).  Kept only
+    #: because perfbench/tracing.py (``ExploreTotals.add``) reads it on every
+    #: ``serve-analyze`` unit through ``Tracer(EXPLORE_TARGETS)``: deleting it
+    #: fails that workload, and perfbench/ changes only with the benchmark
     shard_steals: int = field(default=0, compare=False)
     #: wall-clock duration of the exploration in seconds
     elapsed_seconds: float = 0.0
@@ -89,7 +91,6 @@ class ExplorationStatistics:
         self.peak_waiting = max(self.peak_waiting, other.peak_waiting)
         self.shard_workers = max(self.shard_workers, other.shard_workers)
         self.shard_handoffs += other.shard_handoffs
-        self.shard_steals += other.shard_steals
 
     def reduction_counters(self) -> dict:
         """The non-zero reduction counters (``docs/reductions.md``)."""
@@ -109,7 +110,6 @@ class ExplorationStatistics:
         counters = {
             "shard_workers": self.shard_workers,
             "shard_handoffs": self.shard_handoffs,
-            "shard_steals": self.shard_steals,
         }
         return {name: value for name, value in counters.items() if value}
 

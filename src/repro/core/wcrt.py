@@ -109,7 +109,10 @@ def wcrt_binary_search(
     attained).  Raises :class:`~repro.util.errors.AnalysisError` when even
     ``hi`` does not satisfy the property — the caller chose the interval too
     small — and flags the result as a lower bound when any of the underlying
-    explorations was cut short by its budget.
+    explorations was cut short by its budget.  An undecided probe proves
+    nothing, so it only moves the search downward; the lower bound is then
+    the largest ``C`` proven violated (or ``lo``), and the statistics carry
+    the termination of the first probe that was cut short.
 
     Interval soundness
     ------------------
@@ -130,16 +133,21 @@ def wcrt_binary_search(
         raise AnalysisError(f"invalid WCRT search interval ({lo}, {hi}]")
 
     total_stats = ExplorationStatistics(search_order=(search.order if search else "bfs"))
-    undecided = False
+    cut_short = None  # termination of the first exploration a budget stopped
+
+    def check(query):
+        nonlocal cut_short
+        outcome = select_explorer(network, semantics, search).check(query)
+        total_stats.merge(outcome.statistics)
+        if outcome.holds is None and cut_short is None:
+            cut_short = outcome.statistics.termination
+        return outcome
 
     def property_holds(c: int) -> bool | None:
         formula = Or(Not(condition), ClockProp(
             ClockConstraint(observer_clock, "<", ex.IntConst(int(c)))
         ))
-        explorer = select_explorer(network, semantics, search)
-        outcome = explorer.check(AG(formula))
-        total_stats.merge(outcome.statistics)
-        return outcome.holds
+        return check(AG(formula)).holds
 
     # the observer ceiling is only meaningful for this search: scope it so
     # later queries on the same network see the original abstraction
@@ -147,39 +155,32 @@ def wcrt_binary_search(
     try:
         network.register_query_constant(observer_clock, hi)
 
-        upper_ok = property_holds(hi)
-        if upper_ok is False:
+        if property_holds(hi) is False:
             raise AnalysisError(
                 f"WCRT exceeds the search interval: "
                 f"A[] ({condition} => {observer_clock} < {hi}) is violated"
             )
-        if upper_ok is None:
-            undecided = True
 
-        low, high = lo, hi  # invariant: property fails at `low` (or unknown), holds at `high`
+        # invariant: the property fails at `low` (proven, or `lo` by the
+        # caller's certificate) and holds -- or is undecided -- at `high`
+        low, high = lo, hi
         while high - low > 1:
             mid = (low + high) // 2
-            verdict = property_holds(mid)
-            if verdict is True:
-                high = mid
-            elif verdict is False:
+            if property_holds(mid) is False:
                 low = mid
             else:
-                undecided = True
-                low = mid  # treat as "not yet proven": keep searching upwards
+                high = mid  # holds, or undecided: search below for a proof
 
-        # witness extraction: the WCRT `high - 1` is attained, so a state with
-        # `condition && observer_clock >= high - 1` is reachable; one more
+        # witness extraction: the WCRT `low` is attained, so a state with
+        # `condition && observer_clock >= low` is reachable; one more
         # (goal-directed, hence cheap) exploration records the trace to it,
         # giving the binary search the same witness capability as `sup`
         trace: Trace | None = None
+        undecided = cut_short is not None
         if search is not None and search.record_traces and not undecided:
-            witness_query = EF(And(condition, ClockProp(
-                ClockConstraint(observer_clock, ">=", ex.IntConst(int(high - 1)))
-            )))
-            explorer = select_explorer(network, semantics, search)
-            witness_outcome = explorer.check(witness_query)
-            total_stats.merge(witness_outcome.statistics)
+            witness_outcome = check(EF(And(condition, ClockProp(
+                ClockConstraint(observer_clock, ">=", ex.IntConst(int(low)))
+            ))))
             if witness_outcome.holds is not True:
                 undecided = True
             else:
@@ -187,9 +188,9 @@ def wcrt_binary_search(
     finally:
         network.restore_query_constants(saved_constants)
 
-    total_stats.termination = "exhausted" if not undecided else "state-budget"
+    total_stats.termination = cut_short or "exhausted"
     return WCRTResult(
-        value=high - 1,
+        value=low,
         is_lower_bound=undecided,
         attained=not undecided,
         method="binary-search",

@@ -2,8 +2,8 @@
 
 Two small pieces:
 
-* :mod:`repro.perf.metrics` -- wall-clock timers and counters used by the
-  benchmark harnesses (and usable ad hoc around any engine call).
+* :mod:`repro.perf.metrics` -- the wall-clock timer used by the benchmark
+  harnesses (and usable ad hoc around any engine call).
 * :mod:`repro.perf.trajectory` -- a tiny JSON schema (``repro-bench-v1``)
   for recording benchmark runs to ``BENCH_*.json`` files, loading committed
   baselines and guarding against throughput regressions.
@@ -12,7 +12,7 @@ See ``docs/performance.md`` for the workflow and
 ``benchmarks/bench_core_scaling.py`` for the main consumer.
 """
 
-from repro.perf.metrics import Counter, Timer
+from repro.perf.metrics import Timer
 from repro.perf.trajectory import (
     ANCHOR_CHECKS,
     BENCH_SCHEMA,
@@ -26,7 +26,6 @@ from repro.perf.trajectory import (
 
 __all__ = [
     "Timer",
-    "Counter",
     "ANCHOR_CHECKS",
     "BENCH_SCHEMA",
     "bench_payload",

@@ -1,8 +1,7 @@
-"""Timers and counters for benchmarking the analysis engines.
+"""Timers for benchmarking the analysis engines.
 
-Deliberately tiny: a context-manager :class:`Timer` and an integer
-:class:`Counter` map.  Both render to plain numbers and dicts so the
-benchmark JSON writer (:mod:`repro.perf.trajectory`) can embed them
+Deliberately tiny: a context-manager :class:`Timer` whose plain-number
+readings the benchmark JSON writer (:mod:`repro.perf.trajectory`) can embed
 directly.
 """
 
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Timer", "Counter"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -35,25 +34,4 @@ class Timer:
         if self.seconds <= 0.0:
             return 0.0
         return count / self.seconds
-
-
-class Counter:
-    """A string-keyed integer counter map."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Counter({self._counts})"
 

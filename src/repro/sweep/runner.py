@@ -87,7 +87,6 @@ class CellResult:
     #: the cell ran in-process (dropped from trajectory points then)
     shard_workers: int = 0
     shard_handoffs: int = 0
-    shard_steals: int = 0
     #: cell kind: "wcrt" (table analysis) or "diffcheck" (fuzzing window)
     kind: str = "wcrt"
     #: diffcheck cells only: models that went through all four engines
@@ -143,7 +142,7 @@ class CellResult:
                 out.pop(counter)
         # shard counters only appear for sharded cells, so the trajectory
         # format of scalar runs is unchanged
-        for counter in ("shard_workers", "shard_handoffs", "shard_steals"):
+        for counter in ("shard_workers", "shard_handoffs"):
             if not out[counter]:
                 out.pop(counter)
         if not self.witnesses_attempted:
@@ -363,7 +362,6 @@ def run_cell(cell: "SweepCell | DiffCheckCell", *, index: int = 0,
         keys_folded=stats.keys_folded,
         shard_workers=stats.shard_workers,
         shard_handoffs=stats.shard_handoffs,
-        shard_steals=stats.shard_steals,
         explore_seconds=stats.elapsed_seconds,
         states_per_second=stats.states_per_second,
         termination=stats.termination,

@@ -266,10 +266,26 @@ class TestEndToEndWCRT:
         by_search = analyze_wcrt(model, "RHigh", TimedAutomataSettings(method="binary-search"))
         assert by_sup.wcrt_ticks == by_search.wcrt_ticks
 
-    def test_state_budget_reports_lower_bound(self):
+    @pytest.mark.parametrize("method", ["sup", "binary-search"])
+    def test_state_budget_reports_lower_bound(self, method):
         model = _one_cpu_model()
-        result = analyze_wcrt(model, "RLow", TimedAutomataSettings(max_states=5))
+        exact = analyze_wcrt(model, "RLow", TimedAutomataSettings(method=method))
+        result = analyze_wcrt(
+            model, "RLow", TimedAutomataSettings(method=method, max_states=5)
+        )
         assert result.is_lower_bound
+        assert result.wcrt_ticks is None or result.wcrt_ticks <= exact.wcrt_ticks
+        assert result.satisfied is not False
+        assert result.detail.statistics.termination == "state-budget"
+
+    @pytest.mark.parametrize("method", ["sup", "binary-search"])
+    def test_time_budget_reports_time_budget(self, method):
+        model = _one_cpu_model()
+        result = analyze_wcrt(
+            model, "RLow", TimedAutomataSettings(method=method, max_seconds=1e-9)
+        )
+        assert result.is_lower_bound
+        assert result.detail.statistics.termination == "time-budget"
 
     def test_periodic_offset_zero_interference(self):
         """With synchronous offsets both events arrive together; the high

@@ -2,14 +2,14 @@
 
 :class:`repro.core.shard.ShardedExplorer` partitions the passed/waiting
 stores across forked workers by discrete key, hands successors across
-shard boundaries, steals work from overloaded peers -- and must still be
+shard boundaries -- and must still be
 *observationally identical* to the scalar engine: every verdict, trace,
 witness and :class:`ExplorationStatistics` counter (minus the shard-only
 counters and wall time) has to match bit for bit.  These tests pin that
 contract on small networks, including the corners where the machinery is
 most likely to drift: tight budgets, traces across shard boundaries,
-symmetry/LU composition, work stealing, deferred model errors and worker
-crashes.
+symmetry/LU composition, skewed partitioning, deferred model errors and
+worker crashes.
 """
 
 import dataclasses
@@ -170,11 +170,11 @@ def test_handoff_packs_one_array_per_destination():
     class FakePartition:
         rank = 0
 
-        def expand(self, upto, assigned, stolen):
+        def expand(self, upto, assigned):
             return outgoing, None, 6
 
     worker = shard_mod._ShardWorker(FakePartition(), -1, -1, attempt=1)
-    parcels, error, handoffs = worker._expand(1, (), ())
+    parcels, error, handoffs = worker._expand(1, ())
     assert (error, handoffs) == (None, 6)
     assert set(parcels) == {1, 2}
     rows, refs = parcels[1]
@@ -189,19 +189,20 @@ def test_handoff_packs_one_array_per_destination():
             assert np.array_equal(got[4], sent[4])
 
 
-# ---------------------------------------------------------------- stealing
+# ---------------------------------------------------------------- skew
 
 
-def test_work_stealing_preserves_statistics(monkeypatch):
-    # every key hashes to worker 0, so worker 1 only gets work by stealing
+def test_fully_skewed_partitioning_matches_scalar(monkeypatch):
+    # every key hashes to worker 0: worker 1 owns nothing and idles, and
+    # no candidate ever crosses a partition boundary
     monkeypatch.setattr(shard_mod, "_owner_of", lambda key_bytes, workers: 0)
-    monkeypatch.setattr(shard_mod, "_STEAL_THRESHOLD", 0)
     sharded = ShardedExplorer(
         _samekey_network(), search=SearchOptions(shard_workers=2)
     ).count_states()
     scalar = Explorer(_samekey_network()).count_states()
     assert _stats(sharded) == _stats(scalar)
-    assert sharded.shard_steals > 0
+    assert sharded.shard_workers == 2
+    assert sharded.shard_handoffs == 0
 
 
 # ---------------------------------------------------------------- faults

@@ -148,6 +148,17 @@ class TestCaseStudyAnchors:
         lower, upper = result.interval()
         assert lower is not None and upper is not None and lower <= upper
 
+    def test_starved_binary_search_interval_contains_the_wcrt(self):
+        # an undecided probe proves nothing: the exact stage's lower bound
+        # is the largest C the search proved violated, never the interval top
+        model = configure(build_radio_navigation(), "AL+TMC", "po")
+        result = analyze(model, PortfolioBudget(
+            method="binary-search", max_states=100, des_runs=1,
+        ), requirement="TMC")
+        assert not result.exact
+        lower, upper = result.interval()
+        assert lower <= 172106 <= upper  # the paper's Table 1 anchor
+
     def test_multi_requirement_model_needs_explicit_requirement(self):
         model = configure(build_radio_navigation(), "AL+TMC", "po")
         assert len(model.requirements) > 1

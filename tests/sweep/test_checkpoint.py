@@ -340,7 +340,7 @@ class TestShardedCellResume:
     a resume merges them back deterministic-field identical instead of
     re-forking the workers."""
 
-    SHARD_COUNTERS = ("shard_workers", "shard_handoffs", "shard_steals")
+    SHARD_COUNTERS = ("shard_workers", "shard_handoffs")
 
     def shard_cell(self, i: int) -> SweepCell:
         return SweepCell(
