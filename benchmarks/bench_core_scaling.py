@@ -52,6 +52,7 @@ if os.path.abspath(_SRC) not in [os.path.abspath(p) for p in sys.path]:
 
 from repro.arch import TimedAutomataSettings, analyze_wcrt  # noqa: E402
 from repro.casestudy import build_radio_navigation, configure  # noqa: E402
+from repro.core import kernels  # noqa: E402
 from repro.perf import (  # noqa: E402
     Timer,
     check_regression,
@@ -395,7 +396,10 @@ def main(argv: list[str] | None = None) -> int:
     # caches) so the first, smallest cell is not measured cold
     run_cell(model, *cells[0], reps=1)
 
-    print(f"core scaling benchmark ({len(cells)} cells, reps={reps})")
+    print(
+        f"core scaling benchmark ({len(cells)} cells, reps={reps}, "
+        f"zone kernels: {kernels.BACKEND})"
+    )
     for combination, configuration in cells:
         name = f"{combination}/{configuration}"
         point = run_cell(model, combination, configuration, reps)
@@ -623,7 +627,8 @@ def main(argv: list[str] | None = None) -> int:
 
     write_bench_json(args.output, "core_scaling", points, engine="current",
                      meta={"cells": [f"{c}/{k}" for c, k in cells], "reps": reps,
-                           "sweep_workers": args.workers if args.workers > 1 else None})
+                           "sweep_workers": args.workers if args.workers > 1 else None,
+                           "zone_kernels": kernels.BACKEND})
     print(f"wrote {os.path.relpath(args.output)}")
 
     if args.update_baseline:

@@ -21,6 +21,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the zone kernels' C source, compiled on first import (repro.core.kernels)
+    package_data={"repro.core": ["_zonekernels.c"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},

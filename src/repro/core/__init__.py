@@ -3,6 +3,7 @@
 This package is a self-contained, UPPAAL-style analysis stack:
 
 * :mod:`repro.core.dbm` / :mod:`repro.core.federation` — zone representation,
+  over the zone kernels of :mod:`repro.core.kernels` (compiled C, or numpy),
 * :mod:`repro.core.expressions`, :mod:`repro.core.guards`,
   :mod:`repro.core.declarations`, :mod:`repro.core.automaton`,
   :mod:`repro.core.network` — the modelling language,

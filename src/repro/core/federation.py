@@ -11,13 +11,16 @@ Storage
 The raw-bound matrices of the member zones are kept stacked row-wise in one
 preallocated numpy buffer that grows by doubling, and that stack is the only
 copy of each member: :attr:`Federation.zones` and iteration build
-:class:`~repro.core.dbm.DBM` copies from the rows when asked.  The
-passed-list inclusion check (the hottest operation of the reachability
-engine) is a single vectorised comparison against all stored zones at once,
-and inserting ``N`` zones performs only ``O(N)`` total row copies (the seed
-implementation re-stacked the whole array on every insert, i.e.
-``O(N^2)``).  The ``stack_copies`` counter records the row copies actually
-performed; the test suite uses it to pin down the amortised bound.
+:class:`~repro.core.dbm.DBM` copies from the rows when asked.  Inserting
+``N`` zones performs only ``O(N)`` total row copies (the seed implementation
+re-stacked the whole array on every insert, i.e. ``O(N^2)``).  The
+``stack_copies`` counter records the row copies actually performed; the test
+suite uses it to pin down the amortised bound.
+
+The inclusion checks -- the passed-list check, the hottest operation of the
+reachability engine, and the eviction of members a new zone covers -- are
+the ``covers``, ``covers_many`` and ``evict_masks`` kernels of
+:mod:`repro.core.kernels`, each one call against all stored zones at once.
 """
 
 from __future__ import annotations
@@ -26,16 +29,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.dbm import DBM
 from repro.util.errors import ModelError
 
 __all__ = ["Federation"]
-
-#: element budget for a single broadcast comparison intermediate (256K bools);
-#: larger batched coverage checks are chunked along the candidate axis.
-#: 4M (1 << 22) raised the sp-exact benchmark's peak RSS by 3.9 MB at the
-#: same wall time (3 runs each)
-_COMPARE_BUDGET = 1 << 18
 
 
 class Federation:
@@ -78,18 +76,9 @@ class Federation:
         """
         if zone.dim != self.dim:
             raise ModelError("zone dimension does not match federation dimension")
-        if zone.is_empty():
+        if zone.is_empty() or self.covers(zone):
             return False
-        candidate = zone.m
-        if self._n:
-            stack = self._buf[: self._n]
-            # one batched pass against every stored zone: the sign of
-            # (stored - candidate) decides both directions of the inclusion
-            diff = stack - candidate
-            if (diff >= 0).all(axis=1).any():
-                return False  # covered by an existing zone
-            self._evict_covered((diff <= 0).all(axis=1))
-        self._append(candidate)
+        self._append_uncovered(zone.m)
         return True
 
     def add_uncovered(self, zone: DBM) -> None:
@@ -104,8 +93,9 @@ class Federation:
 
     def _append_uncovered(self, candidate: np.ndarray) -> None:
         if self._n:
-            stack = self._buf[: self._n]
-            self._evict_covered((stack <= candidate).all(axis=1))
+            # the members the candidate covers: covers_many with the roles
+            # swapped, the candidate as the one "member"
+            self._evict_covered(kernels.covers_many(candidate[None, :], self._buf[: self._n]))
         self._append(candidate)
 
     def add_many_uncovered(self, stack: np.ndarray) -> None:
@@ -134,29 +124,11 @@ class Federation:
         if len(rows) == 1:
             self._append_uncovered(rows[0])
             return
-        if self._n:
-            members = self._buf[: self._n]
-            # chunk the (k, n, dim^2) broadcast like covers_many does, so a
-            # large batch against a grown federation cannot spike memory
-            chunk = max(1, _COMPARE_BUDGET // (self._n * rows.shape[1]))
-            doomed_members = np.zeros(self._n, dtype=bool)
-            for start in range(0, len(rows), chunk):
-                block = rows[start : start + chunk]
-                doomed_members |= (
-                    (members[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=0)
-                )
-            self._evict_covered(doomed_members)
-        # within the batch: zone i is evicted by any *later* zone that covers
-        # it (earlier zones cannot cover later ones -- the caller screened);
-        # chunked along i like the member pass above
-        k = len(rows)
-        doomed = np.zeros(k, dtype=bool)
-        chunk = max(1, _COMPARE_BUDGET // (k * rows.shape[1]))
-        for start in range(0, k, chunk):
-            stop = min(k, start + chunk)
-            includes = (rows[start:stop, None, :] <= rows[None, :, :]).all(axis=2)
-            later = np.arange(start, stop)[:, None] < np.arange(k)[None, :]
-            doomed[start:stop] = (includes & later).any(axis=1)
+        # previously stored members covered by any batch zone, and batch
+        # zones covered by a *later* batch zone (earlier zones cannot cover
+        # later ones -- the caller screened)
+        doomed_members, doomed = kernels.evict_masks(self._buf[: self._n], rows)
+        self._evict_covered(doomed_members)
         kept = rows[~doomed]
         self._grow(self._n + len(kept))
         self._buf[self._n : self._n + len(kept)] = kept
@@ -214,12 +186,9 @@ class Federation:
         Note this is inclusion in a *single* member (the standard passed-list
         check), not inclusion in the union.
         """
-        n = self._n
-        if not n:
+        if not self._n:
             return False
-        if n == 1:  # the overwhelmingly common federation size
-            return bool((zone.m <= self._buf[0]).all())
-        return bool((zone.m <= self._buf[:n]).all(axis=1).any())
+        return kernels.covers(self._buf[: self._n], zone.m)
 
     def covers_many(self, stack: np.ndarray) -> np.ndarray:
         """Batched :meth:`covers` over a stack of candidate zones.
@@ -245,26 +214,9 @@ class Federation:
         flat = stack.reshape(len(stack), -1)
         if flat.shape[1] != self.dim * self.dim:
             raise ModelError("stack dimension does not match federation dimension")
-        n = self._n
-        if not n:
+        if not self._n:
             return np.zeros(len(flat), dtype=bool)
-        if n == 1:
-            return (flat <= self._buf[0]).all(axis=1)
-        members = self._buf[:n][None, :, :]
-        count = len(flat)
-        # the broadcast materialises a (count, n, dim^2) boolean intermediate;
-        # chunk the candidate axis so a large federation times a large block
-        # cannot spike transient memory (identical verdicts either way)
-        chunk = max(1, _COMPARE_BUDGET // (n * flat.shape[1]))
-        if count <= chunk:
-            return (flat[:, None, :] <= members).all(axis=2).any(axis=1)
-        out = np.empty(count, dtype=bool)
-        for start in range(0, count, chunk):
-            block = flat[start : start + chunk]
-            out[start : start + chunk] = (
-                (block[:, None, :] <= members).all(axis=2).any(axis=1)
-            )
-        return out
+        return kernels.covers_many(self._buf[: self._n], flat)
 
     def is_empty(self) -> bool:
         """True when the federation contains no zone."""

@@ -33,8 +33,11 @@ BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 2. **decide**: every partition sorts the candidates it owns by tag and
    replays the scalar store discipline per key: one batched
    :meth:`Federation.covers_many` pass against the pre-round federation,
-   vectorised within-round screens, one round-wide batched extrapolation,
-   and a single :meth:`Federation.add_many_uncovered` flush per key.
+   the within-round screen (``kernels.covered_by_earlier``) on the raw
+   rows, one round-wide batched extrapolation, the same screen on the
+   extrapolated survivors, and a single
+   :meth:`Federation.add_many_uncovered` flush per key.  Every zone kernel
+   is a call into :mod:`repro.core.kernels`.
 3. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
@@ -87,8 +90,10 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.dbm import _MAX_STACK_ROWS, DBM, DBMStack
+from repro.core import kernels
+from repro.core.dbm import DBM, DBMStack
 from repro.core.federation import Federation
+from repro.core.kernels import _MAX_STACK_ROWS
 from repro.core.network import CompiledNetwork
 from repro.core.reachability import (
     _UNRECORDED,
@@ -165,67 +170,6 @@ def _send(fd: int, message: object) -> None:
 def _recv(fd: int) -> tuple:
     (length,) = struct.unpack("<Q", _read_exact(fd, 8))
     return pickle.loads(_read_exact(fd, length))
-
-
-#: element budget of one broadcast comparison in the within-round screens
-#: (wider keys are chunked along the candidate axis)
-_SCREEN_BUDGET = 1 << 18
-
-#: cached strictly-upper-triangular masks for `_covered_by_earlier` (the
-#: screens run once per key per round, mostly on small candidate counts)
-_TRIU_CACHE: dict = {}
-
-
-def _covered_by_earlier(flat: np.ndarray) -> np.ndarray:
-    """Row mask: row ``j`` is elementwise ``<=`` some EARLIER row ``i < j``.
-
-    The pairwise comparison is chunked along the candidate axis so the
-    broadcast scratch stays bounded no matter how wide a frontier level is.
-    """
-    k = len(flat)
-    if k <= 1:
-        return np.zeros(k, dtype=bool)
-    step = max(1, _SCREEN_BUDGET // max(1, k * flat.shape[1]))
-    if k <= step:
-        earlier = _TRIU_CACHE.get(k)
-        if earlier is None:
-            earlier = _TRIU_CACHE[k] = np.triu(np.ones((k, k), dtype=bool), 1)
-        block = (flat[:, None, :] >= flat[None, :, :]).all(axis=2)
-        block &= earlier
-        return block.any(axis=0)
-    out = np.zeros(k, dtype=bool)
-    for start in range(1, k, step):  # row 0 has no earlier row
-        stop = min(k, start + step)
-        block = (flat[:stop, None, :] >= flat[None, start:stop, :]).all(axis=2)
-        earlier = np.arange(stop)[:, None] < np.arange(start, stop)[None, :]
-        out[start:stop] = (block & earlier).any(axis=0)
-    return out
-
-
-def _covered_by_earlier_masked(flat: np.ndarray, changed: np.ndarray) -> np.ndarray:
-    """:func:`_covered_by_earlier` restricted to pairs with a changed row.
-
-    The caller certifies that a pair of UNCHANGED rows cannot cover each
-    other (the raw screen eliminated those before extrapolation), so only
-    columns and rows flagged in *changed* need comparing.
-    """
-    k = len(flat)
-    cols = np.flatnonzero(changed)
-    if len(cols) * k * flat.shape[1] > _SCREEN_BUDGET:
-        # wide level with mostly-changed rows: the slim pair set would not
-        # be slim, and the chunked full screen gives the same verdicts
-        return _covered_by_earlier(flat)
-    out = np.zeros(k, dtype=bool)
-    rows_idx = np.arange(k)
-    # changed row j against every earlier row i
-    block = (flat[:, None, :] >= flat[None, cols, :]).all(axis=2)
-    block &= rows_idx[:, None] < cols[None, :]
-    out[cols] = block.any(axis=0)
-    # any row j against every earlier CHANGED row i
-    block = (flat[cols, None, :] >= flat[None, :, :]).all(axis=2)
-    block &= cols[:, None] < rows_idx[None, :]
-    out |= block.any(axis=0)
-    return out
 
 
 class _KeyContext:
@@ -378,7 +322,8 @@ class _Partition:
 
         # per-key preparation: coverage on the raw rows against the pre-round
         # federation, then a two-stage within-round screen (the scalar
-        # store-then-recheck discipline, vectorised):
+        # store-then-recheck discipline, batched; both stages are one
+        # kernels.covered_by_earlier call):
         #
         # 1. raw-vs-raw -- a candidate included in an EARLIER raw candidate
         #    is doomed before paying for extrapolation (extrapolation and
@@ -415,7 +360,7 @@ class _Partition:
             offset = total_layers
             if len(kept):
                 sub = raw[kept] if len(kept) < len(refs) else raw
-                doomed_raw = _covered_by_earlier(sub)
+                doomed_raw = kernels.covered_by_earlier(sub)
                 if doomed_raw.any():
                     sub = sub[~doomed_raw]
                 survivors = kept[~doomed_raw]
@@ -440,21 +385,13 @@ class _Partition:
         contexts: list[_KeyContext] = []
         zone_context: list = [None] * total
         zone_layer = np.zeros(total, dtype=np.intp)
-        for key, refs, decision, survivors, sub, offset in prepared:
+        for key, refs, decision, survivors, _sub, offset in prepared:
             layer_of = None
             if survivors is not None and len(survivors):
                 count = len(survivors)
                 flat = flat_all[offset:offset + count]
-                # the raw screen already settled every pair of rows the
-                # extrapolation left untouched, so the second screen only
-                # needs pairs with at least one widened row
-                changed = (flat != sub).any(axis=1)
                 decision[:] = False
-                if changed.any():
-                    doomed_extra = _covered_by_earlier_masked(flat, changed)
-                    decision[survivors[~doomed_extra]] = True
-                else:
-                    decision[survivors] = True
+                decision[survivors[~kernels.covered_by_earlier(flat)]] = True
                 layer_of = np.full(len(refs), -1, dtype=np.intp)
                 layer_of[survivors] = offset + np.arange(count)
             locations, variables = _unpack_key(key, self.n_instances)

@@ -206,7 +206,7 @@ class _DiscreteInfo:
         # (j == 0) go through the batched DBM kernel, the rest (difference
         # or lower-bound invariants, rare) through per-constraint closure
         self.upper_pairs = [(i, raw) for i, j, raw in invariants if j == 0]
-        self.upper_clocks = np.array([i for i, _ in self.upper_pairs], dtype=np.intp)
+        self.upper_clocks = np.array([i for i, _ in self.upper_pairs], dtype=np.int64)
         self.upper_raws = np.array([raw for _, raw in self.upper_pairs], dtype=np.int64)
         self.other_invariants = tuple(t for t in invariants if t[1] != 0)
         self.plans: tuple[_Plan, ...] | None = None

@@ -233,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         campaign = run_campaign(args.seed, count, config)
         points = {"campaign": campaign.point()}
         checked = campaign.models_checked
+        exact = campaign.exact_checked
         degraded = campaign.degraded
         violations = campaign.violations
         states = campaign.total_ta_states
@@ -271,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         points = {result.name: result.point() for result in sweep}
         checked = sum(result.models_checked for result in sweep)
+        exact = None  # the sweep's cell results do not carry it
         degraded = sum(result.models_degraded for result in sweep)
         violations = sum(result.violations for result in sweep)
         states = sum(result.states_explored for result in sweep)
@@ -302,11 +304,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  resumed: {sweep.resumed} seed window(s) served from "
                   f"{args.checkpoint}")
 
+    exact_note = f" ({exact} with an exact TA WCRT)" if exact is not None else ""
     degraded_note = f", {degraded} degraded" if degraded else ""
     print(f"  {count} models in {wall:.1f}s "
           f"({count / wall if wall > 0 else 0.0:.2f} models/s, "
           f"{states / wall if wall > 0 else 0.0:.1f} TA states/s): "
-          f"{checked} through all four engines{degraded_note}, "
+          f"{checked} through all four engines{exact_note}{degraded_note}, "
           f"{violations} violations")
     if policy_mix:
         print("  policy mix (checked models per resource policy): "

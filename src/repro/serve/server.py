@@ -34,6 +34,7 @@ import signal
 from collections import deque
 from dataclasses import dataclass
 
+from repro.core import kernels
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import ResultCache, canonical_json, request_fingerprint
 from repro.serve.http import HTTPError, read_request, write_response
@@ -247,6 +248,8 @@ class AnalysisServer:
                 "cache_entries": len(self.cache) if self.cache is not None else 0,
                 "quarantined_fingerprints": self.breaker.active,
                 "draining": self.draining,
+                # "compiled", or "numpy: <reason>" after a silent fallback
+                "zone_kernels": kernels.BACKEND,
             }
             await write_response(writer, 200, canonical_json(payload))
             return

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
 from repro.core.dbm import (
-    _MAX_STACK_ROWS,
-    _SQUARING_MAX_DIM,
     DBM,
     INFINITY_RAW,
     LE_ZERO,
     DBMStack,
-    _block_capacity,
     _close_python,
     add_raw,
     bound,
@@ -23,7 +21,13 @@ from repro.core.dbm import (
     negate_weak,
     reset_process_caches,
 )
+from repro.core.kernels import _MAX_STACK_ROWS, _SQUARING_MAX_DIM, _block_capacity
 from repro.util.errors import ModelError
+
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
+#: for the tests that watch the numpy kernels' scratch caches
+numpy_only = pytest.mark.parametrize("kernel_backend", ["numpy"], indirect=True)
 
 
 class TestBoundEncoding:
@@ -255,15 +259,16 @@ class TestOwnership:
         assert zone == DBM.zero(3)
         assert not np.shares_memory(zone.m, clone.m)
 
+    @numpy_only
     def test_reset_process_caches_clears_kernel_scratch(self):
         from repro.core import dbm
 
         DBM.universal(3).close()  # populate the scalar scratch cache
         DBMStack.from_zones([DBM.zero(3)]).close()  # and the stack scratch
-        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+        assert kernels._SCRATCH_CACHE and kernels._STACK_SCRATCH
         reset_process_caches()
-        assert not dbm._SCRATCH_CACHE
-        assert not dbm._STACK_SCRATCH
+        assert not kernels._SCRATCH_CACHE
+        assert not kernels._STACK_SCRATCH
         assert not dbm._EXTRA_CACHE
         # kernels repopulate on demand and stay correct
         assert DBM.zero(3).up().close().get(1, 0) >= 0
@@ -284,6 +289,7 @@ class TestOwnership:
         assert zones[0] == DBM.zero(3) and zones[1] == DBM.zero(3)
         assert not any(np.shares_memory(stack.a, zone.m) for zone in zones)
 
+    @numpy_only
     def test_forked_child_starts_with_empty_kernel_scratch(self):
         if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only guard
             return
@@ -291,12 +297,14 @@ class TestOwnership:
 
         DBM.universal(3).close()
         DBMStack.from_zones([DBM.zero(3)]).close()
-        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+        assert kernels._SCRATCH_CACHE and kernels._STACK_SCRATCH
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child: the at-fork hook must have dropped the caches
             os.close(read_fd)
-            clean = not (dbm._SCRATCH_CACHE or dbm._STACK_SCRATCH or dbm._EXTRA_CACHE)
+            clean = not (
+                kernels._SCRATCH_CACHE or kernels._STACK_SCRATCH or dbm._EXTRA_CACHE
+            )
             os.write(write_fd, b"ok" if clean else b"no")
             os.close(write_fd)
             os._exit(0)
@@ -307,7 +315,7 @@ class TestOwnership:
             os.close(read_fd)
             os.waitpid(pid, 0)
         # the parent's caches are untouched by the child's reset
-        assert dbm._SCRATCH_CACHE and dbm._STACK_SCRATCH
+        assert kernels._SCRATCH_CACHE and kernels._STACK_SCRATCH
 
 
 class TestStackScratch:
@@ -324,16 +332,13 @@ class TestStackScratch:
         assert _block_capacity(64) == 64
         assert _block_capacity(65) == 128
 
+    @numpy_only
     def test_capacity_classes_of_one_dimension_coexist(self):
-        from repro.core import dbm
-
         DBMStack.from_zones([DBM.zero(3)] * 2).close()
         DBMStack.from_zones([DBM.zero(3)] * 20).close()
-        assert set(dbm._STACK_SCRATCH) == {(4, 3), (32, 3)}
+        assert set(kernels._STACK_SCRATCH) == {(4, 3), (32, 3)}
 
     def test_wide_stack_scratch_is_not_pinned(self):
-        from repro.core import dbm
-
         zones = []
         for layer in range(_MAX_STACK_ROWS + 1):
             zone = DBM.universal(3)  # unclosed: x1 <= layer, x2 - x1 <= 1
@@ -341,19 +346,18 @@ class TestStackScratch:
             zone.set(2, 1, bound(1))
             zones.append(zone)
         stack = DBMStack.from_zones(zones).close()
-        assert all(capacity <= _MAX_STACK_ROWS for capacity, _dim in dbm._STACK_SCRATCH)
+        assert all(capacity <= _MAX_STACK_ROWS for capacity, _dim in kernels._STACK_SCRATCH)
         # the unpinned buffers still served a correct closure
         for layer, zone in enumerate(zones):
             expected = zone.m.tolist()
             _close_python(expected, 3)
             assert stack.a[layer].reshape(-1).tolist() == expected
 
+    @numpy_only
     def test_new_dimension_evicts_other_scratch(self):
-        from repro.core import dbm
-
         DBMStack.from_zones([DBM.zero(3)]).close()
         DBMStack.from_zones([DBM.zero(5)]).close()
-        assert set(dbm._STACK_SCRATCH) == {(4, 5)}
+        assert set(kernels._STACK_SCRATCH) == {(4, 5)}
 
 
 # ---------------------------------------------------------------------------

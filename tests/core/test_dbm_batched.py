@@ -15,8 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbm import (
-    _SQUARING_MAX_COUNT,
-    _SQUARING_MAX_DIM,
     DBM,
     DBMStack,
     _close_python,
@@ -24,7 +22,10 @@ from repro.core.dbm import (
     bound,
 )
 from repro.core.federation import Federation
+from repro.core.kernels import _SQUARING_MAX_COUNT, _SQUARING_MAX_DIM
 from repro.util.errors import ModelError
+
+pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 DIM = 4
 
@@ -231,6 +232,28 @@ class TestStackClose:
             expected = zone.m.tolist()
             _close_python(expected, dim)
             assert stack.a[layer].reshape(-1).tolist() == expected, layer
+
+    def test_seventy_clock_stack_matches_python_reference(self):
+        """Wider than any fixed-size buffer a kernel could keep."""
+        dim = 70
+        zones = []
+        for layer in range(3):
+            # unclosed chains x1 <= 5 + layer, x_{i+1} - x_i <= 2 (some strict)
+            zone = DBM.universal(dim)
+            zone.set(1, 0, bound(5 + layer))
+            for i in range(1, dim - 1, 1 + layer):
+                zone.set(i + 1, i, bound(2, strict=i % 3 == 0))
+                zone.set(0, i, bound(-(i % 5), strict=i % 2 == 0))
+            zones.append(zone)
+        empty = DBM.universal(dim)  # a negative cycle through two clocks
+        empty.set(1, dim - 1, bound(-3))
+        empty.set(dim - 1, 1, bound(2))
+        stack = DBMStack.from_zones(zones + [empty]).close()
+        for layer, zone in enumerate(zones):
+            expected = zone.m.tolist()
+            _close_python(expected, dim)
+            assert stack.a[layer].reshape(-1).tolist() == expected, layer
+        assert stack.empties().tolist() == [False, False, False, True]
 
 
 class TestStackBasics:

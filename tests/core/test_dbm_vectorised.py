@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dbm import (
-    _SQUARING_MAX_DIM,
     DBM,
     INFINITY_RAW,
     LE_ZERO,
@@ -20,6 +19,9 @@ from repro.core.dbm import (
     add_raw,
     bound,
 )
+from repro.core.kernels import _SQUARING_MAX_DIM
+
+pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 DIM = 4
 

@@ -9,6 +9,8 @@ from repro.core.dbm import DBM, bound
 from repro.core.federation import Federation
 from repro.util.errors import ModelError
 
+pytestmark = pytest.mark.usefixtures("kernel_backend")
+
 
 def _box(dim: int, uppers: list[int]) -> DBM:
     """A box zone with the given per-clock upper bounds."""
@@ -178,13 +180,14 @@ class TestCoversMany:
             shuffled.covers_many(_stack_of(probes)),
         )
 
+    @pytest.mark.parametrize("kernel_backend", ["numpy"], indirect=True)
     def test_chunked_path_matches_unchunked(self, monkeypatch):
-        import repro.core.federation as federation_module
+        from repro.core import kernels
 
         federation = Federation(3, _incomparable(6))
         probes = [_box(3, [x, y]) for x in range(1, 7) for y in range(1, 7)]
         full = federation.covers_many(_stack_of(probes))
-        monkeypatch.setattr(federation_module, "_COMPARE_BUDGET", 64)
+        monkeypatch.setattr(kernels, "_COMPARE_BUDGET", 64)
         chunked = federation.covers_many(_stack_of(probes))
         assert np.array_equal(full, chunked)
 

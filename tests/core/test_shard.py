@@ -288,3 +288,48 @@ def test_shard_counters_dropped_from_scalar_dict():
     stats = Explorer(_interleaved_network()).count_states()
     assert stats.shard_workers == 0
     assert "shard_workers" not in stats.as_dict()
+
+
+# ---------------------------------------------------------------- screens
+
+
+def _covered_by_earlier_reference(rows):
+    """Row j is included in some earlier row i < j (the naive pair loop)."""
+    return [any((rows[j] <= rows[i]).all() for i in range(j)) for j in range(len(rows))]
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestWithinRoundScreen:
+    """The decide step screens a key's candidates, raw and extrapolated, with
+    ``kernels.covered_by_earlier``: a candidate included in an earlier one of
+    the same round is discarded.  Both backends must agree with the naive
+    pair loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_naive_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        # small values over few entries: plenty of inclusions and ties
+        rows = rng.integers(0, 3, size=(int(rng.integers(2, 60)), 6)).astype(np.int64)
+        assert shard_mod.kernels.covered_by_earlier(rows).tolist() == (
+            _covered_by_earlier_reference(rows)
+        )
+
+    def test_equal_rows_keep_the_first(self):
+        rows = np.array([[1, 2], [1, 2], [0, 5], [1, 2]], dtype=np.int64)
+        assert shard_mod.kernels.covered_by_earlier(rows).tolist() == [
+            False, True, False, True,
+        ]
+
+    def test_short_screens_doom_nothing(self):
+        for rows in (np.zeros((0, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)):
+            assert not shard_mod.kernels.covered_by_earlier(rows).any()
+
+
+def test_chunked_numpy_screen_matches(monkeypatch):
+    """The numpy screen chunks wide keys along the candidate axis."""
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 3, size=(50, 6)).astype(np.int64)
+    monkeypatch.setattr(shard_mod.kernels, "_COMPARE_BUDGET", 64)
+    assert shard_mod.kernels._covered_by_earlier_numpy(rows).tolist() == (
+        _covered_by_earlier_reference(rows)
+    )

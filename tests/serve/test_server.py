@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core import kernels
 from repro.serve import ServerConfig
 from repro.serve.smoke import get_json, post_json, two_task_model_dict
 
@@ -232,3 +233,4 @@ class TestMetrics:
         assert metrics["worker_restarts"] == 0
         assert metrics["draining"] is False
         assert metrics["queue_depth"] == 0
+        assert metrics["zone_kernels"] == kernels.BACKEND
