@@ -64,7 +64,7 @@ static int flag_negative_diagonal(int64_t *m, long dim)
 }
 
 /*
- * Floyd-Warshall closure of one layer, in place.  The diagonal is checked
+ * Floyd-Warshall closure of one layer, in place (after extrapolation).  The diagonal is checked
  * before every round: a round that starts without a negative cycle only
  * adds pairs of shortest simple-path lengths, so no sum can overflow, and
  * a layer is flagged empty as soon as a negative cycle appears.  With the
@@ -95,49 +95,56 @@ static void close_layer(int64_t *m, long dim)
     flag_negative_diagonal(m, dim);
 }
 
-int zk_close(int64_t *a, int count, int dim)
+/*
+ * Add x_i - x_j (raw) to one closed, non-empty layer: exact rank-1
+ * re-closure new[x][y] = min(old[x][y], old[x][i] (+) raw (+) old[j][y]).
+ * Column i and row j are fixed points of the update (raw (+) old[j][i] >=
+ * LE_ZERO once the negative-cycle check has passed), so the rows update in
+ * place.
+ */
+static void constrain_layer(int64_t *m, long dim, long i, long j, int64_t raw)
 {
-    long size = (long)dim * dim;
-    for (long layer = 0; layer < count; layer++)
-        close_layer(a + layer * size, dim);
-    return live_layers(a, count, size);
+    if (raw >= m[i * dim + j])
+        return;
+    int64_t opposite = m[j * dim + i];
+    if (opposite < INFINITY_RAW && add_raw(raw, opposite) < LE_ZERO) {
+        m[0] = EMPTY_RAW;
+        return;
+    }
+    m[i * dim + j] = raw;
+    const int64_t *row_j = m + j * dim;
+    for (long x = 0; x < dim; x++) {
+        int64_t *row_x = m + x * dim;
+        if (row_x[i] >= INFINITY_RAW)
+            continue;
+        int64_t via = add_raw(row_x[i], raw);
+        for (long y = 0; y < dim; y++) {
+            if (row_j[y] >= INFINITY_RAW)
+                continue;
+            int64_t candidate = add_raw(via, row_j[y]);
+            if (candidate < row_x[y])
+                row_x[y] = candidate;
+        }
+    }
 }
 
 /*
- * Add x_i - x_j (raw) to every closed layer: exact rank-1 re-closure
- * new[x][y] = min(old[x][y], old[x][i] (+) raw (+) old[j][y]).  Column i
- * and row j are fixed points of the update (raw (+) old[j][i] >= LE_ZERO
- * once the negative-cycle check has passed), so the rows update in place.
+ * Add the constraints x_i - x_j (raw), given as `n` rows (i, j, raw), in
+ * order to every closed layer; a layer stops at the constraint that
+ * empties it.
  */
-int zk_constrain(int64_t *a, int count, int dim, int i, int j, int64_t raw)
+int zk_constrain(int64_t *a, int count, int dim, const int64_t *rows, int n)
 {
-    if (i < 0 || i >= dim || j < 0 || j >= dim)
-        return -1;
+    for (int r = 0; r < n; r++) {
+        int64_t i = rows[3 * r], j = rows[3 * r + 1];
+        if (i < 0 || i >= dim || j < 0 || j >= dim)
+            return -1;
+    }
     long size = (long)dim * dim;
     for (long layer = 0; layer < count; layer++) {
         int64_t *m = a + layer * size;
-        if (is_empty(m) || raw >= m[(long)i * dim + j])
-            continue;
-        int64_t opposite = m[(long)j * dim + i];
-        if (opposite < INFINITY_RAW && add_raw(raw, opposite) < LE_ZERO) {
-            m[0] = EMPTY_RAW;
-            continue;
-        }
-        m[(long)i * dim + j] = raw;
-        const int64_t *row_j = m + (long)j * dim;
-        for (long x = 0; x < dim; x++) {
-            int64_t *row_x = m + x * dim;
-            if (row_x[i] >= INFINITY_RAW)
-                continue;
-            int64_t via = add_raw(row_x[i], raw);
-            for (long y = 0; y < dim; y++) {
-                if (row_j[y] >= INFINITY_RAW)
-                    continue;
-                int64_t candidate = add_raw(via, row_j[y]);
-                if (candidate < row_x[y])
-                    row_x[y] = candidate;
-            }
-        }
+        for (int r = 0; r < n && !is_empty(m); r++)
+            constrain_layer(m, dim, rows[3 * r], rows[3 * r + 1], rows[3 * r + 2]);
     }
     return live_layers(a, count, size);
 }

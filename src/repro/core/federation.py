@@ -194,8 +194,8 @@ class Federation:
         """Batched :meth:`covers` over a stack of candidate zones.
 
         ``stack`` holds one raw-bound matrix per candidate, either as a
-        ``(k, dim, dim)`` stack (a :attr:`~repro.core.dbm.DBMStack.a` view)
-        or already flattened to ``(k, dim * dim)``.  Returns a boolean mask:
+        ``(k, dim, dim)`` zone array or already flattened to
+        ``(k, dim * dim)``.  Returns a boolean mask:
         entry ``c`` is ``True`` when some *single* member zone includes
         candidate ``c`` entirely -- the passed-list check of the layered
         core, one vectorised comparison per key and round.
@@ -221,10 +221,6 @@ class Federation:
     def is_empty(self) -> bool:
         """True when the federation contains no zone."""
         return self._n == 0
-
-    def intersects(self, zone: DBM) -> bool:
-        """True when at least one member zone intersects *zone*."""
-        return any(member.intersects(zone) for member in self.zones)
 
     def contains_point(self, point) -> bool:
         """True when some member zone contains the concrete valuation."""

@@ -143,15 +143,6 @@ class Guard:
         """Evaluate the data part against a variable valuation."""
         return bool(self.data.evaluate(env))
 
-    def apply_clocks(
-        self, zone: DBM, clock_index: Mapping[str, int], env: Mapping[str, int]
-    ) -> bool:
-        """Conjoin every clock constraint onto *zone*."""
-        for constraint in self.clock_constraints:
-            if not constraint.apply(zone, clock_index, env):
-                return False
-        return True
-
     @property
     def is_trivially_true(self) -> bool:
         """True for the guard that accepts everything."""
@@ -194,13 +185,6 @@ class Invariant:
 
     def rename(self, mapping: Mapping[str, str]) -> "Invariant":
         return Invariant(tuple(c.rename(mapping) for c in self.constraints))
-
-    def apply(self, zone: DBM, clock_index: Mapping[str, int], env: Mapping[str, int]) -> bool:
-        """Conjoin the invariant onto *zone*; return ``False`` if it empties it."""
-        for constraint in self.constraints:
-            if not constraint.apply(zone, clock_index, env):
-                return False
-        return True
 
     @property
     def is_trivially_true(self) -> bool:

@@ -1,7 +1,7 @@
 """Zone kernels: one C source compiled on first import, or its numpy twins.
 
-Every zone operation the engine runs in a loop -- closure, rank-1
-``constrain``, ``impose_upper_bounds``, ``reset``, extrapolation, zone
+Every zone operation the engine runs in a loop -- rank-1 ``constrain``,
+``impose_upper_bounds``, ``reset``, extrapolation with its re-closure, zone
 inclusion against a federation, the within-round screen of the layered core
 and the eviction masks of a federation flush -- is bound here once, at
 import, to one of two backends:
@@ -12,7 +12,11 @@ import, to one of two backends:
 * **numpy**: the vectorised numpy bodies below, used when there is no
   compiler or the build or load fails.
 
-:class:`~repro.core.dbm.DBM`, :class:`~repro.core.dbm.DBMStack`,
+Every zone kernel takes a ``(count, dim, dim)`` int64 array of zones -- a
+single zone is a stack of one -- and ``constrain_stack``,
+``impose_upper_bounds_stack`` and ``reset_stack`` return how many layers
+are live afterwards.  The successor generator
+(:mod:`repro.core.successors`), :meth:`~repro.core.dbm.DBM.constrain`,
 :class:`~repro.core.federation.Federation` and the decide step of
 :mod:`repro.core.shard` call the names bound here and never ask which
 backend is in effect; both produce bit-identical zones and verdicts.
@@ -37,9 +41,10 @@ build writes temporary files and moves them into place with
 Argument checks
 ---------------
 The compiled wrappers accept C-contiguous ``int64`` arrays of matching
-shapes only and raise :class:`~repro.util.errors.ModelError` otherwise,
-before any pointer reaches C; the C functions themselves reject clock
-indices outside the matrix.
+shapes, and constraint rows packed by :func:`constraint_rows`, only; they
+raise :class:`~repro.util.errors.ModelError` otherwise, before any pointer
+reaches C.  The C functions themselves reject clock indices outside the
+matrix.
 """
 
 from __future__ import annotations
@@ -51,12 +56,13 @@ import shutil
 import stat
 import tempfile
 import zlib
+from array import array
 
 import numpy as np
 
 from repro.util.errors import ModelError
 
-__all__ = ["BACKEND", "COMPILED_KERNELS", "NUMPY_KERNELS"]
+__all__ = ["BACKEND", "COMPILED_KERNELS", "NUMPY_KERNELS", "constraint_rows"]
 
 # A raw value larger than any bound that can arise from model constants.
 # Model constants in this library are micro-seconds up to a few seconds
@@ -80,6 +86,17 @@ LT_ZERO: int = 0
 _EMPTY_RAW: int = LT_ZERO - 2
 
 
+def constraint_rows(triples) -> bytes:
+    """Raw ``(i, j, bound)`` constraint triples as the rows
+    :func:`constrain_stack` takes: native int64 values packed three per row.
+
+    Bytes rather than an array: a plan keeps its guards this way for the
+    whole exploration, and ``ctypes`` passes a bytes object to C without a
+    conversion.
+    """
+    return array("q", [value for triple in triples for value in triple]).tobytes()
+
+
 def add_raw(a: int, b: int) -> int:
     """Add two raw bounds (used for path shortening in the closure)."""
     if a >= INFINITY_RAW or b >= INFINITY_RAW:
@@ -89,33 +106,15 @@ def add_raw(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy twins: single zones
+# numpy twins
 # ---------------------------------------------------------------------------
 
-def _sweep_k(a: np.ndarray, k: int) -> None:
-    """One Floyd-Warshall sweep of intermediate *k* on a 2-D view, in place.
-
-    Raw addition: values add, strictness = AND of the weak bits.
-    """
-    inf = INFINITY_RAW
-    col = a[:, k : k + 1]
-    row = a[k : k + 1, :]
-    cand = (col & ~1) + (row & ~1) + ((col & 1) & (row & 1))
-    np.copyto(cand, inf, where=(col >= inf) | (row >= inf))
-    np.minimum(a, cand, out=a)
-
-
-def _close_numpy_inplace(a: np.ndarray, dim: int) -> None:
-    """Vectorised Floyd-Warshall on a 2-D int64 view, in place."""
-    for k in range(dim):
-        _sweep_k(a, k)
-
-
-#: largest dimension for which the numpy zone closure uses min-plus squaring
-#: (the squaring tensor is dim^3 entries; beyond this the per-k sweep wins)
+#: largest dimension for which the numpy closure uses min-plus squaring (the
+#: squaring tensor is dim^3 entries per layer; beyond this the per-k sweep
+#: wins)
 _SQUARING_MAX_DIM = 24
 
-#: stack width above which the numpy stack closure switches from min-plus
+#: stack width above which the numpy closure switches from min-plus
 #: squaring to the per-k sweep.  Squaring needs fewer ufunc dispatches
 #: (log d rounds vs d sweeps) but each round streams ``count * dim**4``
 #: elements against the sweep's ``count * dim**3`` total; on wide stacks
@@ -127,205 +126,6 @@ _SQUARING_MAX_DIM = 24
 #: wall time.
 _SQUARING_MAX_COUNT = 8
 
-
-class _Scratch:
-    """Preallocated work buffers for the numpy zone kernels, one per dim.
-
-    The closure and the incremental re-closures run hundreds of thousands of
-    times per exploration on matrices of ~100 entries; at that size numpy's
-    allocation overhead rivals the arithmetic, so every kernel writes into
-    these shared buffers via ``out=``.  Single-threaded by design.
-    """
-
-    __slots__ = ("t3", "w3", "m3", "c2", "e2", "w2", "m2", "v1", "u1", "b1")
-
-    def __init__(self, dim: int):
-        if dim <= _SQUARING_MAX_DIM:
-            self.t3 = np.empty((dim, dim, dim), dtype=np.int64)
-            self.w3 = np.empty((dim, dim, dim), dtype=np.int64)
-            self.m3 = np.empty((dim, dim, dim), dtype=bool)
-        else:  # the squaring kernel is not used at these dimensions
-            self.t3 = self.w3 = self.m3 = None
-        self.c2 = np.empty((dim, dim), dtype=np.int64)
-        self.e2 = np.empty((dim, dim), dtype=bool)
-        self.w2 = np.empty((dim, dim), dtype=np.int64)
-        self.m2 = np.empty((dim, dim), dtype=bool)
-        self.v1 = np.empty(dim, dtype=np.int64)
-        self.u1 = np.empty(dim, dtype=np.int64)
-        self.b1 = np.empty(dim, dtype=bool)
-
-
-_SCRATCH_CACHE: dict[int, _Scratch] = {}
-
-
-def _scratch(dim: int) -> _Scratch:
-    scratch = _SCRATCH_CACHE.get(dim)
-    if scratch is None:
-        scratch = _Scratch(dim)
-        _SCRATCH_CACHE[dim] = scratch
-    return scratch
-
-
-def _close_squaring(a: np.ndarray, dim: int) -> None:
-    """Closure by repeated min-plus squaring, in place.
-
-    Each round replaces ``a`` with ``min(a, a (+) a)`` (min-plus product in
-    the raw-bound algebra), doubling the path length covered; the fixpoint is
-    the all-pairs-shortest-path closure.  For the small matrices of zone
-    graphs this needs one or two rounds in practice and runs as a handful of
-    whole-matrix numpy operations, which beats both the Python triple loop
-    and the per-k vectorised sweep (see docs/performance.md).
-
-    A satisfiable zone reaches the exact Floyd-Warshall fixpoint.  An
-    unsatisfiable one (negative cycle) is detected via the diagonal and
-    marked empty, which is all the callers ever inspect.
-    """
-    s = _scratch(dim)
-    t, w, mask, cand, eq = s.t3, s.w3, s.m3, s.c2, s.e2
-    rounds = max(1, int(dim - 1).bit_length())
-    for round_index in range(rounds):
-        p = a[:, :, None]
-        q = a[None, :, :]
-        # raw addition a (+) b == a + b - ((a | b) & 1); sums involving an
-        # infinite operand land above _INF_GUARD and are clamped back
-        np.add(p, q, out=t)
-        np.bitwise_or(p, q, out=w)
-        np.bitwise_and(w, 1, out=w)
-        np.subtract(t, w, out=t)
-        np.greater_equal(t, _INF_GUARD, out=mask)
-        np.copyto(t, INFINITY_RAW, where=mask)
-        np.minimum.reduce(t, axis=1, out=cand)
-        np.minimum(a, cand, out=cand)
-        if round_index:  # a non-canonical input never converges in one round
-            np.equal(cand, a, out=eq)
-            if eq.all():
-                break
-        a[:] = cand
-    if (np.diagonal(a) < LE_ZERO).any():
-        a[0, 0] = _EMPTY_RAW
-
-
-def _close_zone_numpy(a: np.ndarray) -> None:
-    """Full closure of one ``(dim, dim)`` zone: squaring up to
-    :data:`_SQUARING_MAX_DIM` clocks, the per-k sweep above."""
-    dim = len(a)
-    if dim <= _SQUARING_MAX_DIM:
-        _close_squaring(a, dim)
-    else:
-        _close_numpy_inplace(a, dim)
-
-
-def _constrain_zone_numpy(a: np.ndarray, i: int, j: int, raw: int) -> bool:
-    """Add ``x_i - x_j (raw)`` to one closed zone; ``False`` once empty."""
-    if raw < a[i, j]:
-        a[i, j] = raw
-        # check for an immediate negative cycle
-        if add_raw(raw, a[j, i]) < LE_ZERO:
-            a[0, 0] = _EMPTY_RAW
-            return False
-        # exact rank-1 re-closure: for a canonical DBM tightened at a
-        # single entry (i, j), the new shortest paths are
-        # min(old[a][b], old[a][i] (+) raw (+) old[j][b]) -- one
-        # vectorised outer combination instead of two k-sweeps
-        s = _scratch(len(a))
-        via, w1, cand, w2, m2 = s.v1, s.u1, s.c2, s.w2, s.m2
-        col = a[:, i]
-        row = a[j, :]
-        np.add(col, raw, out=via)  # col (+) raw
-        np.bitwise_or(col, raw, out=w1)
-        np.bitwise_and(w1, 1, out=w1)
-        np.subtract(via, w1, out=via)
-        # no intermediate clamp: an infinite operand keeps the total far
-        # above _INF_GUARD (at most two infinities fit in an int64), so a
-        # single clamp of the final sums suffices
-        via = via[:, None]
-        np.add(via, row, out=cand)  # (+) row
-        np.bitwise_or(via, row, out=w2)
-        np.bitwise_and(w2, 1, out=w2)
-        np.subtract(cand, w2, out=cand)
-        np.greater_equal(cand, _INF_GUARD, out=m2)
-        np.copyto(cand, INFINITY_RAW, where=m2)
-        np.minimum(a, cand, out=a)
-    return not (a[0, 0] < LE_ZERO)
-
-
-def _impose_upper_bounds_zone_numpy(a: np.ndarray, clocks, raws, pairs) -> bool:
-    """Tighten several upper bounds of one closed zone; ``False`` once empty.
-
-    ``new[a][b] = min(old[a][b], min_c(old[a][c] (+) raw_c) (+) old[0][b])``
-    is the exact closure, see :meth:`DBM.impose_upper_bounds`.
-    """
-    for clock, raw in pairs:
-        if add_raw(raw, a[0, clock]) < LE_ZERO:  # raw (+) m[0][clock]
-            a[0, 0] = _EMPTY_RAW
-            return False
-    if len(pairs) == 1:
-        clock, raw = pairs[0]
-        return _constrain_zone_numpy(a, clock, 0, raw)
-    if not pairs:
-        return not (a[0, 0] < LE_ZERO)
-    s = _scratch(len(a))
-    cols = a[:, clocks]  # (dim, len(pairs)) -- variable width, no scratch
-    t = cols + raws  # candidates  old[a][c] (+) raw_c
-    w = cols | raws
-    w &= 1
-    t -= w
-    u, cand, w2, m2 = s.v1, s.c2, s.w2, s.m2
-    np.minimum.reduce(t, axis=1, out=u)
-    row0 = a[0, :]
-    u = u[:, None]
-    np.add(u, row0, out=cand)  # (+) old[0][b]
-    np.bitwise_or(u, row0, out=w2)
-    np.bitwise_and(w2, 1, out=w2)
-    np.subtract(cand, w2, out=cand)
-    np.greater_equal(cand, _INF_GUARD, out=m2)
-    np.copyto(cand, INFINITY_RAW, where=m2)
-    np.minimum(a, cand, out=a)
-    return True
-
-
-def _reset_zone_numpy(a: np.ndarray, clock: int, value: int) -> None:
-    """Reset *clock* to the constant *value* in one closed zone."""
-    inf = INFINITY_RAW
-    pos = 2 * int(value) + 1
-    neg = -2 * int(value) + 1
-    # grab both vectors before writing anything (the row write touches
-    # the column-0 entry of the clock's row); list comprehensions beat
-    # numpy at these lengths
-    row0 = a[0, :].tolist()
-    col0 = a[:, 0].tolist()
-    # x_clock - x_j  <=  value + (x_0 - x_j)
-    a[clock, :] = [pos + r - ((pos | r) & 1) if r < inf else inf for r in row0]
-    # x_j - x_clock  <=  (x_j - x_0) - value
-    a[:, clock] = [c + neg - ((c | neg) & 1) if c < inf else inf for c in col0]
-    a[clock, clock] = LE_ZERO
-
-
-def _extrapolate_zone_numpy(a: np.ndarray, upper_grid, lower_grid) -> None:
-    """Extrapolate one zone against the threshold grids, then re-close.
-
-    Finite entries above ``upper_grid`` are abstracted to infinity, entries
-    below ``lower_grid`` are relaxed to the grid value (relaxation wins).
-    """
-    s = _scratch(len(a))
-    raise_mask, relax_mask = s.m2, s.e2
-    np.greater(a, upper_grid, out=raise_mask)
-    np.less(a, INFINITY_RAW, out=relax_mask)  # reused as the finite filter
-    np.logical_and(raise_mask, relax_mask, out=raise_mask)
-    np.less(a, lower_grid, out=relax_mask)
-    if not (raise_mask.any() or relax_mask.any()):
-        return
-    np.copyto(a, INFINITY_RAW, where=raise_mask)
-    np.copyto(a, lower_grid, where=relax_mask)
-    # a full re-closure is required: a loosened entry can be tightened
-    # back through *any* pair of untouched entries (restricting the sweep
-    # to the touched clocks is unsound here, unlike for `constrain`)
-    _close_zone_numpy(a)
-
-
-# ---------------------------------------------------------------------------
-# numpy twins: zone stacks
-# ---------------------------------------------------------------------------
 
 #: largest stack (rows) whose numpy kernel scratch is cached: a wide round
 #: of the layered core must not pin its buffers for the rest of the process.
@@ -343,7 +143,7 @@ def _block_capacity(rows: int) -> int:
 class _StackScratch:
     """Preallocated work buffers for the numpy stack kernels, per (capacity, dim).
 
-    The batched pipeline runs a handful of whole-stack ufuncs per kernel;
+    The firing pipeline runs a handful of whole-stack ufuncs per kernel;
     letting each call allocate its ``(count, dim, dim[, dim])`` temporaries
     would put the allocator back on the hot path that the batching removed.
     Buffers are sized to the stack's *capacity* class (a power of two, see
@@ -388,7 +188,21 @@ def _stack_scratch(count: int, dim: int) -> _StackScratch:
     return scratch
 
 
-def _constrain_stack_numpy(a: np.ndarray, i: int, j: int, raw: int) -> None:
+def _live(a: np.ndarray) -> int:
+    """The number of non-empty layers of the stack *a*."""
+    return int(np.count_nonzero(a[:, 0, 0] >= LE_ZERO))
+
+
+def _constrain_stack_numpy(a: np.ndarray, rows: bytes) -> int:
+    """Add the constraints ``x_i - x_j (raw)`` of the packed *rows*
+    (:func:`constraint_rows`) in order to every layer; returns the live
+    layer count."""
+    for i, j, raw in np.frombuffer(rows, dtype=np.int64).reshape(-1, 3).tolist():
+        _constrain_one(a, i, j, raw)
+    return _live(a)
+
+
+def _constrain_one(a: np.ndarray, i: int, j: int, raw: int) -> None:
     """Add ``x_i - x_j (raw)`` to every layer; exact rank-1 re-closure.
 
     Layers the bound does not tighten are provably unchanged by the shared
@@ -420,10 +234,16 @@ def _constrain_stack_numpy(a: np.ndarray, i: int, j: int, raw: int) -> None:
         a[bad, 0, 0] = _EMPTY_RAW
 
 
-def _impose_upper_bounds_stack_numpy(a: np.ndarray, clocks, raws) -> None:
-    """:func:`_impose_upper_bounds_zone_numpy` across every layer at once."""
+def _impose_upper_bounds_stack_numpy(a: np.ndarray, clocks, raws) -> int:
+    """Tighten the upper bounds ``x_c <= raw_c`` of several clocks, every layer.
+
+    Every new edge ends in the reference clock, so
+    ``new[x][y] = min(old[x][y], min_c(old[x][c] (+) raw_c) (+) old[0][y])``
+    is the exact closure; a pair that closes a negative cycle with the
+    stored lower bound empties the layer.  Returns the live layer count.
+    """
     if not len(clocks):
-        return
+        return _live(a)
     count, dim = len(a), a.shape[1]
     s = _stack_scratch(count, dim)
     lowers = a[:, 0, clocks]  # (count, pairs) -- variable width, no scratch
@@ -445,10 +265,12 @@ def _impose_upper_bounds_stack_numpy(a: np.ndarray, clocks, raws) -> None:
     np.minimum(a, cand, out=a)
     if bad.any():
         a[bad, 0, 0] = _EMPTY_RAW
+    return _live(a)
 
 
-def _reset_stack_numpy(a: np.ndarray, clock: int, value: int) -> None:
-    """Clock reset ``clock := value`` on every (closed) layer."""
+def _reset_stack_numpy(a: np.ndarray, clock: int, value: int) -> int:
+    """Clock reset ``clock := value`` on every (closed) layer; returns the
+    live layer count."""
     count, dim = len(a), a.shape[1]
     s = _stack_scratch(count, dim)
     pos = 2 * int(value) + 1
@@ -456,7 +278,7 @@ def _reset_stack_numpy(a: np.ndarray, clock: int, value: int) -> None:
     row0 = a[:, 0, :]
     col0 = a[:, :, 0]
     # compute both updates before writing: the row write touches the
-    # column-0 entry of the clock's row (mirrors the scalar snapshotting)
+    # column-0 entry of the clock's row
     new_row, new_col, w1, inf_mask = s.v2[:count], s.u2[:count], s.w2[:count], s.b2[:count]
     np.add(row0, pos, out=new_row)
     np.bitwise_or(row0, pos, out=w1)
@@ -473,6 +295,7 @@ def _reset_stack_numpy(a: np.ndarray, clock: int, value: int) -> None:
     a[:, clock, :] = new_row
     a[:, :, clock] = new_col
     a[:, clock, clock] = LE_ZERO
+    return _live(a)
 
 
 def _close_stack_numpy(a: np.ndarray) -> None:
@@ -537,11 +360,13 @@ def _close_stack_numpy(a: np.ndarray) -> None:
 
 
 def _extrapolate_stack_numpy(a: np.ndarray, upper_grid, lower_grid) -> None:
-    """:func:`_extrapolate_zone_numpy` across every layer.
+    """Extrapolate every layer against the threshold grids.
 
-    Only the layers an extrapolation mask actually touched are re-closed
-    (untouched layers are bit-identical to their scalar counterpart, which
-    skips the re-closure in exactly the same case).
+    Finite entries above ``upper_grid`` are abstracted to infinity, entries
+    below ``lower_grid`` are relaxed to the grid value (relaxation wins).
+    A loosened entry can be tightened back through *any* pair of untouched
+    entries, so every layer an extrapolation mask touched gets a full
+    re-closure; untouched layers are left as they are.
     """
     count = len(a)
     s = _stack_scratch(count, a.shape[1])
@@ -664,19 +489,12 @@ def _covered_by_earlier_numpy(flat: np.ndarray) -> np.ndarray:
 
 def clear_scratch() -> None:
     """Drop the numpy twins' scratch buffers (they refill on demand)."""
-    _SCRATCH_CACHE.clear()
     _STACK_SCRATCH.clear()
     _TRIU_CACHE.clear()
 
 
 #: every kernel name this module binds, with its numpy twin
 NUMPY_KERNELS = {
-    "close_zone": _close_zone_numpy,
-    "constrain_zone": _constrain_zone_numpy,
-    "impose_upper_bounds_zone": _impose_upper_bounds_zone_numpy,
-    "reset_zone": _reset_zone_numpy,
-    "extrapolate_zone": _extrapolate_zone_numpy,
-    "close_stack": _close_stack_numpy,
     "constrain_stack": _constrain_stack_numpy,
     "impose_upper_bounds_stack": _impose_upper_bounds_stack_numpy,
     "reset_stack": _reset_stack_numpy,
@@ -821,8 +639,7 @@ _BYTE = ctypes.c_char * 1
 _P, _I, _I64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
 #: argument types of the C functions; every one returns an int
 _SIGNATURES = {
-    "zk_close": (_P, _I, _I),
-    "zk_constrain": (_P, _I, _I, _I, _I, _I64),
+    "zk_constrain": (_P, _I, _I, _P, _I),
     "zk_impose_upper_bounds": (_P, _I, _I, _P, _P, _I),
     "zk_reset": (_P, _I, _I, _I, _I64),
     "zk_extrapolate": (_P, _I, _I, _P, _P),
@@ -843,12 +660,6 @@ def _pointer(a: np.ndarray):
         return ctypes.c_void_p(a.ctypes.data)
 
 
-def _zone(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ModelError("a zone kernel takes one square matrix")
-    return _pointer(a)
-
-
 def _stack(a: np.ndarray):
     if a.ndim != 3 or a.shape[1] != a.shape[2] or not len(a):
         raise ModelError("a stack kernel takes a (count, dim, dim) array")
@@ -859,6 +670,16 @@ def _grids(dim: int, upper_grid: np.ndarray, lower_grid: np.ndarray):
     if upper_grid.shape != (dim, dim) or lower_grid.shape != (dim, dim):
         raise ModelError("extrapolation grids must match the zone dimension")
     return _pointer(upper_grid), _pointer(lower_grid)
+
+
+#: bytes of one packed constraint row (three int64 values)
+_ROW_BYTES = 24
+
+
+def _constraints(rows: bytes) -> bytes:
+    if not isinstance(rows, bytes) or len(rows) % _ROW_BYTES:
+        raise ModelError("constraints are packed (i, j, raw) int64 rows")
+    return rows
 
 
 def _pairs(clocks: np.ndarray, raws: np.ndarray):
@@ -882,43 +703,21 @@ def _checked(live: int) -> int:
 
 def _compiled_kernels(lib: ctypes.CDLL) -> dict:
     """Checked wrappers over the library's functions, named like the twins."""
-    zk_close, zk_constrain = lib.zk_close, lib.zk_constrain
-    zk_impose, zk_reset = lib.zk_impose_upper_bounds, lib.zk_reset
-    zk_extrapolate, zk_covers = lib.zk_extrapolate, lib.zk_covers
-    zk_covered_by_other = lib.zk_covered_by_other
+    zk_constrain, zk_impose = lib.zk_constrain, lib.zk_impose_upper_bounds
+    zk_reset, zk_extrapolate = lib.zk_reset, lib.zk_extrapolate
+    zk_covers, zk_covered_by_other = lib.zk_covers, lib.zk_covered_by_other
 
-    def close_zone(a):
-        zk_close(_zone(a), 1, len(a))
-
-    def constrain_zone(a, i, j, raw):
-        return _checked(zk_constrain(_zone(a), 1, len(a), i, j, raw)) == 1
-
-    def impose_upper_bounds_zone(a, clocks, raws, pairs):
-        zone = _zone(a)
-        if not len(clocks):  # nothing to impose: skip the C call
-            return not (a[0, 0] < LE_ZERO)
-        return _checked(zk_impose(zone, 1, len(a), *_pairs(clocks, raws), len(clocks))) == 1
-
-    def reset_zone(a, clock, value):
-        _checked(zk_reset(_zone(a), 1, len(a), clock, value))
-
-    def extrapolate_zone(a, upper_grid, lower_grid):
-        zone = _zone(a)
-        zk_extrapolate(zone, 1, len(a), *_grids(len(a), upper_grid, lower_grid))
-
-    def close_stack(a):
-        zk_close(_stack(a), len(a), a.shape[1])
-
-    def constrain_stack(a, i, j, raw):
-        _checked(zk_constrain(_stack(a), len(a), a.shape[1], i, j, raw))
+    def constrain_stack(a, rows):
+        stack = _stack(a)
+        rows = _constraints(rows)
+        return _checked(zk_constrain(stack, len(a), a.shape[1], rows, len(rows) // _ROW_BYTES))
 
     def impose_upper_bounds_stack(a, clocks, raws):
         stack = _stack(a)
-        if len(clocks):
-            _checked(zk_impose(stack, len(a), a.shape[1], *_pairs(clocks, raws), len(clocks)))
+        return _checked(zk_impose(stack, len(a), a.shape[1], *_pairs(clocks, raws), len(clocks)))
 
     def reset_stack(a, clock, value):
-        _checked(zk_reset(_stack(a), len(a), a.shape[1], clock, value))
+        return _checked(zk_reset(_stack(a), len(a), a.shape[1], clock, value))
 
     def extrapolate_stack(a, upper_grid, lower_grid):
         stack = _stack(a)
@@ -955,12 +754,6 @@ def _compiled_kernels(lib: ctypes.CDLL) -> dict:
         return out
 
     return {
-        "close_zone": close_zone,
-        "constrain_zone": constrain_zone,
-        "impose_upper_bounds_zone": impose_upper_bounds_zone,
-        "reset_zone": reset_zone,
-        "extrapolate_zone": extrapolate_zone,
-        "close_stack": close_stack,
         "constrain_stack": constrain_stack,
         "impose_upper_bounds_stack": impose_upper_bounds_stack,
         "reset_stack": reset_stack,
@@ -977,12 +770,6 @@ def _compiled_kernels(lib: ctypes.CDLL) -> dict:
 COMPILED_KERNELS, BACKEND = _load()
 
 _bound = COMPILED_KERNELS or NUMPY_KERNELS
-close_zone = _bound["close_zone"]
-constrain_zone = _bound["constrain_zone"]
-impose_upper_bounds_zone = _bound["impose_upper_bounds_zone"]
-reset_zone = _bound["reset_zone"]
-extrapolate_zone = _bound["extrapolate_zone"]
-close_stack = _bound["close_stack"]
 constrain_stack = _bound["constrain_stack"]
 impose_upper_bounds_stack = _bound["impose_upper_bounds_stack"]
 reset_stack = _bound["reset_stack"]

@@ -49,6 +49,7 @@ from repro.core.successors import (
     TransitionLabel,
     pack_discrete,
 )
+from repro.core.symmetry import permute_zones
 from repro.util.errors import AnalysisError, ModelError
 
 __all__ = [
@@ -458,7 +459,7 @@ class Explorer:
         if perm is None:
             return state
         stats.keys_folded += 1
-        state.zone.permute(perm)
+        permute_zones(state.zone.m2[None], perm)
         return SymbolicState(
             locations, variables, state.zone, pack_discrete(locations, variables)
         )
@@ -483,7 +484,7 @@ class Explorer:
             passed[key] = federation
         elif federation.covers(state.zone):
             return False
-        self.generator.extrapolate(state.zone)
+        self.generator.extrapolate(state.zone.m2[None])
         federation.add_uncovered(state.zone)
         return True
 

@@ -26,7 +26,7 @@ The exploration proceeds in *rounds*, each a contiguous range of the scalar
 BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 
 1. **expand**: every partition pops its frontier states below the round
-   horizon, pushes them through the batched successor kernels
+   horizon, fires each same-key group of them as one zone array
    (:meth:`SuccessorGenerator.block_successors`), folds each target key onto
    its symmetry representative *before* hashing, and routes each candidate
    -- tagged ``(parent_seq, plan_index)`` -- to the owner of its target key.
@@ -65,8 +65,9 @@ by at most one capped round, and the statistics equal the scalar loop's at
 Witness traces are reconstructed by *replay*: the coordinator keeps only the
 ``(parent_seq, plan_index)`` tag of every stored state, walks the tag chain
 from the goal back to the root, and re-fires the plan chain from the initial
-state through the scalar successor pipeline -- bit-identical zones at a
-memory cost independent of the state count.
+state through :meth:`SuccessorGenerator.successors` -- the firing routine
+the partitions use, so the zones are bit-identical, at a memory cost
+independent of the state count.
 
 Supervision (forked only): a worker that dies (fault injection, OOM, a kill)
 closes its pipe; the coordinator detects the EOF, tears the fleet down and
@@ -91,7 +92,7 @@ from collections import deque
 import numpy as np
 
 from repro.core import kernels
-from repro.core.dbm import DBM, DBMStack
+from repro.core.dbm import DBM
 from repro.core.federation import Federation
 from repro.core.kernels import _MAX_STACK_ROWS
 from repro.core.network import CompiledNetwork
@@ -103,6 +104,7 @@ from repro.core.reachability import (
 )
 from repro.core.statistics import ExplorationStatistics
 from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
+from repro.core.symmetry import permute_zones
 from repro.util.errors import AnalysisError
 
 __all__ = ["ShardedExplorer", "explore_layered", "select_explorer"]
@@ -271,13 +273,13 @@ class _Partition:
                         plan.locations, plan.variables, plan.key_bytes
                     )
                     if perm is not None:
-                        # fold before hashing: the whole stack shares the
+                        # fold before hashing: the whole array shares the
                         # plan's target key, one permutation folds every layer
-                        fire.stack.permute(perm)
+                        permute_zones(fire.zones, perm)
                         key_bytes = pack_discrete(locations, variables)
                         folded = True
                 parent_seqs = seqs[fire.node_indices]
-                rows = fire.stack.a.reshape(len(parent_seqs), -1)
+                rows = fire.zones.reshape(len(parent_seqs), -1)
                 candidates = (key_bytes, fire.plan_index, folded, parent_seqs, rows)
                 dest = _owner_of(key_bytes, self.workers)
                 if dest == self.rank:
@@ -379,8 +381,7 @@ class _Partition:
                     flat_all[offset:offset + len(survivors)] = sub
             cube = flat_all.reshape(total_layers, self.dim, self.dim)
             for start in range(0, total_layers, _MAX_STACK_ROWS):
-                chunk = cube[start:start + _MAX_STACK_ROWS]
-                self.generator.extrapolate_stack(DBMStack.wrap(chunk))
+                self.generator.extrapolate(cube[start:start + _MAX_STACK_ROWS])
 
         contexts: list[_KeyContext] = []
         zone_context: list = [None] * total
@@ -630,7 +631,7 @@ def explore_layered(explorer: Explorer, spec, visit, workers: int = 1,
     stats.start_timer()
 
     initial = explorer._canonical(explorer.generator.initial_state(), stats)
-    explorer.generator.extrapolate(initial.zone)
+    explorer.generator.extrapolate(initial.zone.m2[None])
     root_key = initial.discrete_bytes()
     stats.states_stored = 1
     stats.peak_waiting = 1
@@ -793,12 +794,13 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_sup,
 
 
 def _replay_chain(explorer, initial, plan_chain, record_traces):
-    """Re-fire *plan_chain* from the root through the scalar pipeline.
+    """Re-fire *plan_chain* from the root, one state at a time.
 
-    Bit-identical to the partitions' batched generation (the batched
-    kernels are layer-exact), so the materialised states match the stored
-    zones exactly -- this is how goal witnesses and supremum traces are
-    reconstructed without keeping any zone rows per sequence number.
+    :meth:`SuccessorGenerator.successors` fires through the routine the
+    partitions' block firing uses, and every kernel is layer-exact, so the
+    materialised states match the stored zones exactly -- this is how goal
+    witnesses and supremum traces are reconstructed without keeping any
+    zone rows per sequence number.
     Returns the final ``(state, node)``.
     """
     scratch = ExplorationStatistics()  # replay folds were already counted
@@ -811,7 +813,7 @@ def _replay_chain(explorer, initial, plan_chain, record_traces):
         )
         label, child = fired[0]
         child = explorer._canonical(child, scratch)
-        explorer.generator.extrapolate(child.zone)
+        explorer.generator.extrapolate(child.zone.m2[None])
         node = _SearchNode(
             child, node if record_traces else _UNRECORDED, label
         )

@@ -26,13 +26,25 @@ committed set, the urgency verdict, the evaluated invariant bounds, and the
 full list of :class:`_Plan` firing combinations.  A plan carries the
 *evaluated* guard bounds, the updated variable vector, the concrete reset
 values and the target location vector -- all pure functions of the discrete
-key -- so firing a plan against a zone is nothing but copy / constrain /
-reset.  Zone graphs revisit the same discrete state with many different
+key -- so firing a plan is nothing but copy / constrain / reset / delay on
+zones.  Zone graphs revisit the same discrete state with many different
 zones, which makes these caches the difference between re-running the
 compiled guard closures per transition and a handful of integer operations.
 
-Transition labels are likewise built once per plan and only when the caller
-records traces.  The extrapolation step can be deferred by the caller
+Firing
+------
+One routine fires plans, :meth:`SuccessorGenerator._fire_plans`.  It takes
+the source zones as one ``(count, dim, dim)`` int64 array -- a single state
+is a stack of one, ``state.zone.m2[None]`` -- and runs guard, reset,
+target invariant and delay as stack kernels of :mod:`repro.core.kernels`,
+following the live-layer count they return and dropping dead layers only
+when the count fell.  :meth:`~SuccessorGenerator.successors` (the scalar
+loop, witness replay) and :meth:`~SuccessorGenerator.block_successors` (the
+layered core's same-key groups) both call it, so the two engines fire
+through the same code.
+
+Transition labels are built once per plan and only when the caller records
+traces.  The extrapolation step can be deferred by the caller
 (``extrapolate=False``): the reachability engine checks passed-list coverage
 on the raw delay-closed zone first and extrapolates only the states it
 actually keeps (the two decisions provably coincide, see
@@ -44,11 +56,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.dbm import DBM, INFINITY_RAW, LE_ZERO, DBMStack
+from repro.core import kernels
+from repro.core.dbm import DBM, INFINITY_RAW, LE_ZERO, _extrapolation_grids
 from repro.core.network import CompiledEdge, CompiledNetwork
 from repro.util.errors import ModelError
 
@@ -163,7 +176,7 @@ class _Plan:
     mirroring the run-time semantics of the unmemoised implementation.
     """
 
-    __slots__ = ("kind", "channel", "participants", "guards", "resets",
+    __slots__ = ("kind", "channel", "participants", "guards", "guard_rows", "resets",
                  "locations", "variables", "key_bytes", "error")
 
     def __init__(self, kind, channel, participants, guards, resets, locations, variables, error):
@@ -172,6 +185,8 @@ class _Plan:
         self.participants = participants
         #: evaluated clock guards as raw (i, j, bound) triples
         self.guards: tuple[tuple[int, int, int], ...] = guards
+        #: the same guards as constraint rows for the kernels
+        self.guard_rows = kernels.constraint_rows(guards)
         #: evaluated resets as (clock, value) pairs
         self.resets: tuple[tuple[int, int], ...] = resets
         #: target location vector
@@ -193,22 +208,24 @@ class _DiscreteInfo:
     traces are recorded.
     """
 
-    __slots__ = ("urgent", "committed", "invariants", "upper_pairs",
-                 "upper_clocks", "upper_raws", "other_invariants", "plans", "labels")
+    __slots__ = ("urgent", "committed", "invariants", "invariant_rows", "upper_clocks",
+                 "upper_raws", "other_rows", "plans", "labels")
 
     def __init__(self, urgent: bool, committed: frozenset[int],
                  invariants: tuple[tuple[int, int, int], ...]):
         self.urgent = urgent
         self.committed = committed
-        #: evaluated invariant constraints as raw (i, j, bound) triples
+        #: evaluated invariant constraints as raw (i, j, bound) triples, and
+        #: as constraint rows for the kernels
         self.invariants = invariants
+        self.invariant_rows = kernels.constraint_rows(invariants)
         # split for the post-delay re-application: plain upper bounds
-        # (j == 0) go through the batched DBM kernel, the rest (difference
-        # or lower-bound invariants, rare) through per-constraint closure
-        self.upper_pairs = [(i, raw) for i, j, raw in invariants if j == 0]
-        self.upper_clocks = np.array([i for i, _ in self.upper_pairs], dtype=np.int64)
-        self.upper_raws = np.array([raw for _, raw in self.upper_pairs], dtype=np.int64)
-        self.other_invariants = tuple(t for t in invariants if t[1] != 0)
+        # (j == 0) go through one impose_upper_bounds kernel call, the rest
+        # (difference invariants, rare) through the constrain kernel
+        uppers = [(i, raw) for i, j, raw in invariants if j == 0]
+        self.upper_clocks = np.array([i for i, _ in uppers], dtype=np.int64)
+        self.upper_raws = np.array([raw for _, raw in uppers], dtype=np.int64)
+        self.other_rows = kernels.constraint_rows(t for t in invariants if t[1] != 0)
         self.plans: tuple[_Plan, ...] | None = None
         self.labels: list[TransitionLabel | None] | None = None
 
@@ -216,22 +233,23 @@ class _DiscreteInfo:
 class BlockFire:
     """One plan fired against a whole block of same-discrete-key states.
 
-    Produced by :meth:`SuccessorGenerator.block_successors`.  ``stack`` holds
-    the surviving delay-closed (not yet extrapolated) successor zones, one
-    layer per entry of ``node_indices`` (positions within the input block).
-    When the plan carries a deferred evaluation error, ``stack`` is ``None``
-    and ``node_indices`` lists the block positions whose guards passed --
-    expanding any of those states must re-raise ``error``, mirroring the
-    scalar generator.
+    Produced by :meth:`SuccessorGenerator.block_successors`.  ``zones`` is
+    the ``(len(node_indices), dim, dim)`` array of the surviving
+    delay-closed (not yet extrapolated) successor zones, one layer per entry
+    of ``node_indices`` (positions within the input block).  When the plan
+    carries a deferred evaluation error, ``zones`` is ``None`` and
+    ``node_indices`` lists the block positions whose guards passed --
+    expanding any of those states must re-raise ``error``, as
+    :meth:`SuccessorGenerator.successors` does.
     """
 
-    __slots__ = ("plan", "plan_index", "stack", "node_indices", "error")
+    __slots__ = ("plan", "plan_index", "zones", "node_indices", "error")
 
-    def __init__(self, plan: _Plan, plan_index: int, stack: DBMStack | None,
+    def __init__(self, plan: _Plan, plan_index: int, zones: np.ndarray | None,
                  node_indices: np.ndarray, error: Exception | None):
         self.plan = plan
         self.plan_index = plan_index
-        self.stack = stack
+        self.zones = zones
         self.node_indices = node_indices
         self.error = error
 
@@ -280,9 +298,6 @@ class SuccessorGenerator:
             self._recv.append(recv_rows)
 
     # ------------------------------------------------------------- basic helpers
-    def _max_bounds(self) -> list[int]:
-        return self.network.max_constants
-
     def _extrapolation_vectors(self):
         """Raw threshold grids for the current network bounds (cached).
 
@@ -294,8 +309,6 @@ class SuccessorGenerator:
         """
         version = self.network.max_constants_version
         if version != self._extra_version:
-            from repro.core.dbm import _extrapolation_grids
-
             if self.options.extrapolation == "lu":
                 lower, upper = self.network.lu_bounds
                 self._extra_grids = _extrapolation_grids(tuple(lower), tuple(upper))
@@ -305,12 +318,23 @@ class SuccessorGenerator:
             self._extra_version = version
         return self._extra_grids
 
-    def extrapolate(self, zone: DBM) -> DBM:
-        """Apply the configured extrapolation to *zone* in place."""
+    def extrapolate(self, zones: np.ndarray) -> np.ndarray:
+        """Apply the configured extrapolation in place to every zone of the
+        ``(count, dim, dim)`` array *zones* (a state's zone: ``zone.m2[None]``)."""
         if self.options.extrapolation != "none":
             upper_grid, lower_grid = self._extrapolation_vectors()
-            zone._extrapolate_raw(upper_grid, lower_grid)
-        return zone
+            kernels.extrapolate_stack(zones, upper_grid, lower_grid)
+        return zones
+
+    def extrapolate_stack(self, stack):
+        """Retired: :meth:`extrapolate` takes zone arrays.
+
+        The benchmark's span tracer (``perfbench/tracing.py``) still names
+        this method as a target and its harness test resolves every target,
+        so the name stays until the benchmark next changes (ROADMAP, "Mend
+        the benchmark texts").  Nothing calls it.
+        """
+        raise ModelError("extrapolate_stack is retired: call extrapolate(zones)")
 
     @staticmethod
     def _evaluate_constraints(
@@ -326,15 +350,6 @@ class SuccessorGenerator:
             for c in constraints
         )
 
-    def _apply_constraints(
-        self, zone: DBM, constraints: Iterable, variables: Sequence[int]
-    ) -> bool:
-        """Conjoin compiled clock constraints; returns False when empty."""
-        for i, j, raw in self._evaluate_constraints(constraints, variables):
-            if not zone.constrain(i, j, raw):
-                return False
-        return True
-
     def _invariant_constraints_for(self, locations: tuple[int, ...]) -> tuple:
         """Flattened invariant constraint objects of a location vector (cached)."""
         cached = self._invariant_constraints.get(locations)
@@ -345,12 +360,6 @@ class SuccessorGenerator:
             cached = tuple(collected)
             self._invariant_constraints[locations] = cached
         return cached
-
-    def _apply_invariants(
-        self, zone: DBM, locations: Sequence[int], variables: Sequence[int]
-    ) -> bool:
-        constraints = self._invariant_constraints_for(tuple(locations))
-        return self._apply_constraints(zone, constraints, variables)
 
     def _is_urgent_discrete(self, locations: Sequence[int], variables: Sequence[int]) -> bool:
         """True when time may not elapse in this discrete state.
@@ -424,7 +433,7 @@ class SuccessorGenerator:
         engine evaluated these lazily per fire and never reached them when
         an earlier clock guard was unsatisfiable, so the plan records the
         first error together with the guards evaluated before it, and
-        :meth:`_fire` re-raises only when those guards actually pass.
+        :meth:`_fire_plans` reports it only when those guards actually pass.
         """
         net = self.network
         guards: list[tuple[int, int, int]] = []
@@ -540,39 +549,69 @@ class SuccessorGenerator:
             info.labels[index] = label
         return label
 
-    def _finalize(
-        self,
-        locations: tuple[int, ...],
-        variables: tuple[int, ...],
-        zone: DBM,
-        extrapolate: bool,
-        dkey: bytes | None = None,
-    ) -> SymbolicState | None:
-        """Apply invariants and, unless urgent, the delay closure.
+    # --------------------------------------------------------------- firing
+    @staticmethod
+    def _settle(zones: np.ndarray, info: _DiscreteInfo) -> int:
+        """Impose the invariants of *info* on the live layers *zones* and,
+        unless time is frozen there, let time pass under them; returns the
+        live layer count.
 
-        Takes ownership of *zone*.  With ``extrapolate=False`` the caller
-        is expected to run :meth:`extrapolate` on the zones it keeps.
+        ``up`` keeps the canonical form, and the upper-bound invariants it
+        loosened come back in one exact re-closure.
         """
-        info = self._discrete_info(locations, variables)
-        m, dim = zone.m, zone.dim
-        for i, j, raw in info.invariants:
-            # cheap no-op filter: the fired zone usually satisfies the target
-            # invariants already (constrain would re-check and return True)
-            if raw < m[i * dim + j] and not zone.constrain(i, j, raw):
-                return None
+        live = len(zones)
+        if info.invariant_rows:
+            live = kernels.constrain_stack(zones, info.invariant_rows)
         if not info.urgent:
-            # ``up`` preserves the canonical form; the upper-bound invariants
-            # it loosened are re-imposed in one batched exact re-closure,
-            # difference/lower-bound invariants (rare) close incrementally
-            zone.up()
-            if not zone.impose_upper_bounds(info.upper_clocks, info.upper_raws, info.upper_pairs):
-                return None
-            for i, j, raw in info.other_invariants:
-                if not zone.constrain(i, j, raw):
-                    return None
-        if extrapolate:
-            self.extrapolate(zone)
-        return SymbolicState(locations, variables, zone, dkey)
+            zones[:, 1:, 0] = INFINITY_RAW  # up: drop every upper bound
+            if len(info.upper_clocks):
+                live = kernels.impose_upper_bounds_stack(zones, info.upper_clocks, info.upper_raws)
+            if info.other_rows:
+                live = kernels.constrain_stack(zones, info.other_rows)
+        return live
+
+    def _fire_plans(
+        self, info: _DiscreteInfo, source: np.ndarray, plan_indices: Iterable[int] | None = None
+    ) -> Iterator[BlockFire]:
+        """Fire the plans of *info* against the ``(count, dim, dim)`` zones *source*.
+
+        Yields one :class:`BlockFire` per plan (every plan, or those at
+        *plan_indices*) that leaves a live layer, in plan order; *source*
+        is not modified.  Each plan runs guard, reset, target invariant and
+        delay on a copy of *source* as stack kernels, which skip dead layers
+        and return the live count; the array is compressed only when that
+        count fell.  The zones are left unextrapolated.
+        """
+        count = len(source)
+        everyone = np.arange(count, dtype=np.intp)
+        plans = info.plans
+        for index in range(len(plans)) if plan_indices is None else plan_indices:
+            plan = plans[index]
+            zones = source.copy()
+            live = count
+            if plan.guard_rows:
+                live = kernels.constrain_stack(zones, plan.guard_rows)
+                if not live:
+                    continue
+            nodes = everyone
+            if live < count:
+                nodes = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
+            if plan.error is not None:
+                # deferred evaluation error: expanding a state whose guards
+                # passed must raise it
+                yield BlockFire(plan, index, None, nodes, plan.error)
+                continue
+            if live < count:
+                zones = zones[nodes]
+            for clock, value in plan.resets:
+                kernels.reset_stack(zones, clock, value)
+            kept = self._settle(zones, self._discrete_info(plan.locations, plan.variables))
+            if not kept:
+                continue
+            if kept < live:
+                alive = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
+                zones, nodes = zones[alive], nodes[alive]
+            yield BlockFire(plan, index, zones, nodes, None)
 
     # --------------------------------------------------------------- initial state
     def initial_state(self) -> SymbolicState:
@@ -580,39 +619,15 @@ class SuccessorGenerator:
         net = self.network
         locations = net.initial_locations()
         variables = net.initial_variables
-        zone = DBM.zero(net.dim)
-        state = self._finalize(locations, variables, zone, extrapolate=True)
-        if state is None:
+        zones = np.full((1, net.dim, net.dim), LE_ZERO, dtype=np.int64)  # all clocks 0
+        if not self._settle(zones, self._discrete_info(locations, variables)):
             raise ModelError(
                 "the initial state violates an invariant; the model admits no behaviour"
             )
-        return state
+        self.extrapolate(zones)
+        return SymbolicState(locations, variables, DBM._wrap(net.dim, zones.reshape(-1)))
 
     # ----------------------------------------------------------------- transitions
-    def _fire(self, state: SymbolicState, plan: _Plan, extrapolate: bool) -> SymbolicState | None:
-        """Fire a prepared plan: pure clock work against the state's zone."""
-        source = state.zone
-        m0, dim = source.m, source.dim
-        # reject infeasible fires before paying for a zone copy: a guard bound
-        # that forms a negative cycle with the stored opposite bound can never
-        # be satisfied (and for a canonical zone this check is exact per guard);
-        # inlined add_raw -- guard bounds are always finite
-        for i, j, raw in plan.guards:
-            opposite = m0[j * dim + i]
-            if opposite < INFINITY_RAW and raw + opposite - ((raw | opposite) & 1) < LE_ZERO:
-                return None
-        zone = source.copy()
-        for i, j, raw in plan.guards:
-            if not zone.constrain(i, j, raw):
-                return None
-        if plan.error is not None:
-            # reset the cached instance's traceback so repeated fires do not
-            # accumulate frames from earlier raises
-            raise plan.error.with_traceback(None)
-        for clock, value in plan.resets:
-            zone.reset(clock, value)
-        return self._finalize(plan.locations, plan.variables, zone, extrapolate, plan.key_bytes)
-
     def _label(
         self, kind: str, channel: str | None, edges: Sequence[CompiledEdge]
     ) -> TransitionLabel:
@@ -645,26 +660,25 @@ class SuccessorGenerator:
         yet -- the reachability engine uses this to extrapolate only the
         states that survive its inclusion check.  ``plan_indices`` restricts
         firing to the given plan positions: the layered core replays witness
-        plan chains this way.
+        plan chains this way.  A plan with a deferred evaluation error raises
+        it when its guards pass, before any later plan is fired.
         """
         info = self.plan_info(state)
+        dim = state.zone.dim
         results: list[tuple[TransitionLabel | None, SymbolicState]] = []
-        indices = range(len(info.plans)) if plan_indices is None else plan_indices
-        for index in indices:
-            successor = self._fire(state, info.plans[index], extrapolate)
-            if successor is None:
-                continue
-            label = self._plan_label(info, index) if with_labels else None
-            results.append((label, successor))
+        for fire in self._fire_plans(info, state.zone.m2[None], plan_indices):
+            if fire.error is not None:
+                # reset the cached instance's traceback so repeated fires do
+                # not accumulate frames from earlier raises
+                raise fire.error.with_traceback(None)
+            if extrapolate:
+                self.extrapolate(fire.zones)
+            plan = fire.plan
+            zone = DBM._wrap(dim, fire.zones.reshape(-1))
+            label = self._plan_label(info, fire.plan_index) if with_labels else None
+            results.append((label, SymbolicState(plan.locations, plan.variables, zone,
+                                                 plan.key_bytes)))
         return results
-
-    # ------------------------------------------------------------- block firing
-    def extrapolate_stack(self, stack: DBMStack) -> DBMStack:
-        """Batched :meth:`extrapolate` over a whole zone stack, in place."""
-        if self.options.extrapolation != "none":
-            upper_grid, lower_grid = self._extrapolation_vectors()
-            stack.extrapolate(upper_grid, lower_grid)
-        return stack
 
     def block_successors(
         self, states: Sequence[SymbolicState]
@@ -673,99 +687,16 @@ class SuccessorGenerator:
 
         All *states* must have identical ``(locations, variables)`` -- the
         layered core groups each round's frontier by key -- so they share
-        the memoised plan list, and each plan's clock work (guards, resets,
-        target invariants, delay closure) runs as stacked whole-block numpy
-        kernels instead of one zone at a time.  Per fired plan the result
-        lists the surviving block positions and their delay-closed zones;
+        the memoised plan list, and each plan's clock work runs once for the
+        whole block (:meth:`_fire_plans`).  Per fired plan the result lists
+        the surviving block positions and their delay-closed zones;
         extrapolation is deferred exactly like ``successors(...,
         extrapolate=False)`` (the engine extrapolates only the states it
-        keeps, via :meth:`extrapolate_stack`).
-
-        The per-layer results are bit-identical to firing the scalar
-        pipeline on each state: every batched kernel matches its scalar
-        counterpart element-wise, and layers whose zone dies anywhere along
-        the pipeline are dropped just like the scalar ``None`` returns.
+        keeps, via :meth:`extrapolate`).
         """
-        first = states[0]
-        info = self._discrete_info(first.locations, first.variables)
-        if info.plans is None:
-            self._build_plans(info, first.locations, first.variables)
-        fires: list[BlockFire] = []
-        if not info.plans:
-            return info, fires
+        info = self.plan_info(states[0])
         if len(states) == 1:
-            # one layer: the scalar pipeline is several times cheaper than
-            # the stacked kernels' fixed dispatch cost, and bit-identical.
-            # 39% of the groups on the fuzz-window benchmark are single
-            # (17% on sp-exact); firing them stacked made fuzz-window 13%
-            # and serve-analyze 6% slower in wall time (3 runs each)
-            state = states[0]
-            only = np.zeros(1, dtype=np.intp)
-            for index, plan in enumerate(info.plans):
-                try:
-                    successor = self._fire(state, plan, extrapolate=False)
-                except Exception as exc:
-                    if exc is not plan.error:
-                        raise
-                    fires.append(BlockFire(plan, index, None, only, plan.error))
-                    continue
-                if successor is not None:
-                    stack = DBMStack.wrap(successor.zone.m2[None])
-                    fires.append(BlockFire(plan, index, stack, only, None))
-            return info, fires
-        all_indices = np.arange(len(states), dtype=np.intp)
-        source = DBMStack.from_zones([s.zone for s in states])
-        for index, plan in enumerate(info.plans):
-            # reject infeasible fires before paying for the stack copy (the
-            # batched form of the scalar negative-cycle precheck)
-            indices = all_indices
-            feasible: np.ndarray | None = None
-            for i, j, raw in plan.guards:
-                mask = source.guard_feasible(i, j, raw)
-                feasible = mask if feasible is None else (feasible & mask)
-            if feasible is not None and not feasible.all():
-                local = np.flatnonzero(feasible)
-                if not len(local):
-                    continue
-                indices = all_indices[local]
-                work = source.compress(local)
-            else:
-                work = source.copy()
-            for i, j, raw in plan.guards:
-                work.constrain(i, j, raw)
-            alive = ~work.empties()
-            if plan.error is not None:
-                # deferred evaluation error: fires whose guards pass must
-                # re-raise when their state is expanded (scalar semantics)
-                passing = np.flatnonzero(alive)
-                if len(passing):
-                    fires.append(BlockFire(plan, index, None, indices[passing], plan.error))
-                continue
-            if not alive.all():
-                survivors = np.flatnonzero(alive)
-                if not len(survivors):
-                    continue
-                work = work.compress(survivors)
-                indices = indices[survivors]
-            for clock, value in plan.resets:
-                work.reset(clock, value)
-            # target invariants + delay closure (the batched _finalize)
-            target = self._discrete_info(plan.locations, plan.variables)
-            for i, j, raw in target.invariants:
-                # cheap no-op filter, matching the scalar pipeline
-                if (raw < work.a[:, i, j]).any():
-                    work.constrain(i, j, raw)
-            if not target.urgent:
-                work.up()
-                work.impose_upper_bounds(target.upper_clocks, target.upper_raws)
-                for i, j, raw in target.other_invariants:
-                    work.constrain(i, j, raw)
-            alive = ~work.empties()
-            if not alive.all():
-                survivors = np.flatnonzero(alive)
-                if not len(survivors):
-                    continue
-                work = work.compress(survivors)
-                indices = indices[survivors]
-            fires.append(BlockFire(plan, index, work, indices, None))
-        return info, fires
+            source = states[0].zone.m2[None]
+        else:
+            source = np.stack([state.zone.m2 for state in states])
+        return info, list(self._fire_plans(info, source))

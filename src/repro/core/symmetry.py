@@ -18,7 +18,7 @@ the *network-level* half of the reduction:
   units of each orbit by their discrete signature (stable, so states that
   are already canonical pass through untouched) and applies the induced
   permutation to the location vector, the variable vector and -- via
-  :meth:`repro.core.dbm.DBM.permute` -- the zone.
+  :func:`permute_zones` -- the zone.
 
 Soundness: the attached permutations are verified automorphisms, so a state
 and its canonical representative are related by a run-preserving bijection
@@ -35,10 +35,28 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.automaton import TimedAutomaton
 from repro.util.errors import ModelError
 
-__all__ = ["SymmetryUnit", "SymmetrySpec", "isomorphic_templates"]
+__all__ = ["SymmetryUnit", "SymmetrySpec", "isomorphic_templates", "permute_zones"]
+
+
+def permute_zones(zones: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Relabel the clocks of every zone of a ``(count, dim, dim)`` array in place.
+
+    Entry ``(i, j)`` of each zone receives the old ``(perm[i], perm[j])``.
+    *perm* must be a permutation of ``0 .. dim-1`` fixing index 0 (the
+    reference clock).  A consistent relabelling preserves the canonical
+    form, so no re-closure is needed.  Maps a zone onto the canonical
+    representative of its discrete state (:meth:`SymmetrySpec.canonicalize`).
+    """
+    p = np.asarray(perm, dtype=np.intp)
+    if len(p) != zones.shape[1] or p[0] != 0:
+        raise ModelError("permutation must cover every clock and fix the reference")
+    zones[:] = zones[:, p[:, None], p[None, :]]
+    return zones
 
 
 @dataclass(frozen=True)
@@ -105,7 +123,7 @@ class SymmetrySpec:
 
         Returns ``(locations, variables, clock_perm)``; ``clock_perm`` is
         ``None`` when the state is already canonical (the common case), else
-        the permutation to feed :meth:`repro.core.dbm.DBM.permute` so the
+        the permutation to feed :func:`permute_zones` so the
         zone follows its discrete state onto the representative.  Memoised
         per packed discrete key -- the map is a pure function of the
         discrete state.

@@ -97,10 +97,11 @@ class Concretisation:
 def _schedule_dim(count: int) -> int:
     """Round the schedule-DBM dimension up to a power of two.
 
-    The DBM kernels cache scratch buffers per dimension; traces come
-    in arbitrary lengths, so rounding keeps the set of live scratch sizes
-    logarithmic instead of one per trace length.  The unused trailing
-    variables stay unconstrained and never affect the used entries.
+    The numpy fallback of the zone kernels keeps scratch buffers for one
+    dimension at a time; traces come in arbitrary lengths, so rounding lets
+    traces of similar lengths reuse one dimension's buffers instead of
+    rebuilding them per trace length.  The unused trailing variables stay
+    unconstrained and never affect the used entries.
     """
     return max(4, 1 << (int(count) - 1).bit_length())
 

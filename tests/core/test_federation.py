@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dbm import DBM, bound
+from repro.core.dbm import DBM, LT_ZERO, bound
 from repro.core.federation import Federation
 from repro.util.errors import ModelError
 
@@ -268,7 +268,7 @@ class TestMemberViews:
     def test_zones_are_independent_copies(self):
         federation = Federation(3, _incomparable(3))
         for zone in federation.zones:
-            zone.up()
+            zone.m[:] = LT_ZERO
         for zone in federation:
             zone.constrain(1, 0, bound(0))
         assert federation.zones == tuple(_incomparable(3))
@@ -278,19 +278,11 @@ class TestMemberViews:
         assert list(federation) == list(federation.zones) == _incomparable(4)
         assert list(Federation(3)) == []
 
-    def test_intersects_and_contains_point_read_the_members(self):
+    def test_contains_point_reads_the_members(self):
         federation = Federation(3, [_box(3, [1, 5]), _box(3, [5, 1])])
         assert federation.contains_point([0, 1, 5])
         assert federation.contains_point([0, 5, 1])
         assert not federation.contains_point([0, 5, 5])
-        probe = DBM.universal(3)
-        probe.constrain(0, 1, bound(-3))  # x >= 3
-        probe.constrain(0, 2, bound(-3))  # y >= 3
-        assert not federation.intersects(probe)
-        wider = DBM.universal(3)
-        wider.constrain(0, 2, bound(-3))  # y >= 3 only: meets {x <= 1, y <= 5}
-        assert federation.intersects(wider)
-        assert not Federation(3).intersects(wider)
         assert not Federation(3).contains_point([0, 0, 0])
 
     def test_upper_bound_is_the_largest_member_bound(self):

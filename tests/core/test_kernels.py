@@ -20,7 +20,7 @@ import pytest
 from repro.arch import TimedAutomataSettings, analyze_wcrt
 from repro.casestudy import build_radio_navigation, configure
 from repro.core import kernels
-from repro.core.dbm import DBM, DBMStack, bound
+from repro.core.dbm import DBM, bound
 from repro.util.errors import ModelError
 
 #: the directory that holds the ``repro`` package
@@ -101,7 +101,7 @@ class TestLoader:
         assert not builds  # the stored source matched: loaded as is
         [stored] = (tmp_path / "repro").glob("zonekernels-*.c")
         source = stored.read_bytes()
-        stored.write_bytes(source.replace(b"zk_close", b"zk_other"))
+        stored.write_bytes(source.replace(b"zk_reset", b"zk_other"))
         assert kernels._load()[1] == "compiled"
         assert len(builds) == 1  # the stored source differed: rebuilt
         assert stored.read_bytes() == source
@@ -151,34 +151,39 @@ class TestArgumentChecks:
     compiled = kernels.COMPILED_KERNELS or {}
 
     def test_non_contiguous_view_is_refused(self):
-        stack = DBMStack.from_zones([DBM.zero(4), DBM.zero(4)]).a
+        stack = np.stack([DBM.zero(4).m2, DBM.zero(4).m2])
         with pytest.raises(ModelError):
-            self.compiled["close_stack"](stack[:, :, ::-1])
+            self.compiled["reset_stack"](stack[:, :, ::-1], 1, 0)
         with pytest.raises(ModelError):
-            self.compiled["close_zone"](stack[0].T)
+            self.compiled["reset_stack"](stack.transpose(0, 2, 1), 1, 0)
 
     def test_wrong_dtype_is_refused(self):
         with pytest.raises(ModelError):
-            self.compiled["close_stack"](np.zeros((2, 4, 4), dtype=np.int32))
+            self.compiled["reset_stack"](np.zeros((2, 4, 4), dtype=np.int32), 1, 0)
         with pytest.raises(ModelError):
             self.compiled["covers"](np.zeros((1, 16)), np.zeros(16))
 
     def test_mismatched_shapes_are_refused(self):
-        zone = DBM.zero(4).m2
+        zones = DBM.zero(4).m2[None]
         with pytest.raises(ModelError):
-            self.compiled["close_zone"](np.zeros((3, 4), dtype=np.int64))
+            self.compiled["reset_stack"](np.zeros((3, 4), dtype=np.int64), 1, 0)
         with pytest.raises(ModelError):
-            self.compiled["extrapolate_zone"](zone, zone, np.zeros((3, 3), dtype=np.int64))
+            self.compiled["extrapolate_stack"](zones, zones[0], np.zeros((3, 3), dtype=np.int64))
         members = np.zeros((2, 16), dtype=np.int64)
+        with pytest.raises(ModelError):  # constraint rows are 24 bytes each
+            self.compiled["constrain_stack"](zones.copy(), b"\0" * 20)
+        with pytest.raises(ModelError):  # and packed into bytes
+            self.compiled["constrain_stack"](zones.copy(), np.zeros((1, 3), dtype=np.int64))
         with pytest.raises(ModelError):
             self.compiled["covers_many"](members, np.zeros((3, 9), dtype=np.int64))
         with pytest.raises(ModelError):
             self.compiled["covers"](members, np.zeros(9, dtype=np.int64))
 
     def test_clock_index_out_of_range_is_refused(self):
-        stack = DBMStack.from_zones([DBM.zero(4)]).a
+        stack = DBM.zero(4).m2[None].copy()
         with pytest.raises(ModelError):
-            self.compiled["constrain_stack"](stack, 0, 4, bound(1))
+            rows = kernels.constraint_rows([(1, 0, bound(1)), (0, 4, bound(1))])
+            self.compiled["constrain_stack"](stack, rows)
         with pytest.raises(ModelError):
             self.compiled["reset_stack"](stack, 0, 0)
         clocks = np.array([1, 7], dtype=np.int64)
@@ -188,6 +193,5 @@ class TestArgumentChecks:
 
     def test_dbm_methods_surface_the_refusal(self, monkeypatch):
         _use(monkeypatch, self.compiled)
-        stack = DBMStack.wrap(DBMStack.from_zones([DBM.zero(3)] * 2).a[:, ::-1, :])
         with pytest.raises(ModelError):
-            stack.close()
+            DBM.zero(3).constrain(1, 3, bound(1))  # clock 3 lies outside

@@ -9,7 +9,8 @@ layered core reports through :func:`analyze_wcrt`.
 
 The pinned seeds all finish within 3 000 states; together they draw every
 processor policy (non-deterministic, fixed-priority non-preemptive and
-preemptive, round-robin, TDMA) and the FCFS and fixed-priority buses.
+preemptive, round-robin, TDMA) and the FCFS and fixed-priority buses.  The
+engine runs once per zone-kernel backend.
 """
 
 import pytest
@@ -47,7 +48,7 @@ def _ceiling(bound: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def cases():
+def cases(kernel_backend):
     """Per seed: the sampled model, the engine's analysis and the reference states."""
     out = {}
     for seed in SEEDS:
