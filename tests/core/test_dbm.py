@@ -113,6 +113,7 @@ class TestRelations:
         assert DBM.zero(3).is_subset_of(DBM.universal(3))
         assert not DBM.universal(3).is_subset_of(DBM.zero(3))
 
+
 class TestExtrapolation:
     """The extrapolation kernel on one zone (``zone.m2[None]``)."""
 
