@@ -20,9 +20,11 @@ import pytest
 from repro.core import (
     AG,
     EF,
+    ClockProp,
     DataProp,
     Explorer,
     Network,
+    Not,
     SearchOptions,
     Sup,
     TimedAutomaton,
@@ -150,6 +152,19 @@ def _sup(make):
     return out
 
 
+def _sup_of(query):
+    """Like ``_sup``, for a supremum query with a condition."""
+    def run(make):
+        out = []
+        for record_traces in (True, False):
+            result = make(record_traces=record_traces).sup(query)
+            out.append((result.value, result.attained, result.is_lower_bound,
+                        _trace(result.trace), _stats(result.statistics)))
+        return out
+
+    return run
+
+
 def _check(query):
     def run(make):
         out = []
@@ -179,6 +194,11 @@ def _plan_error(make):
     return [str(raised.value)]
 
 
+def _clock(text):
+    """A clock atom over the tickers' clocks."""
+    return ClockProp.parse(text, ("w0.x", "w1.x"))
+
+
 RUNS = {
     "count": _count,
     "sup": _sup,
@@ -186,6 +206,14 @@ RUNS = {
     "ag-violation": _check(AG(DataProp.parse("n <= 4"))),
     "state-budget": _state_budget,
     "plan-error": _plan_error,
+    # clock-constrained specs: the zone half of the query evaluation
+    "ef-clock-goal": _check(EF(DataProp.parse("n == 3") & _clock("w0.x > 5"))),
+    "ag-clock-violation": _check(
+        AG(Not(DataProp.parse("n == 4")) | _clock("w1.x < 3"))
+    ),
+    "sup-clock-condition": _sup_of(
+        Sup("w0.x", condition=DataProp.parse("n >= 2") & _clock("w1.x < 3"))
+    ),
 }
 
 
@@ -224,6 +252,17 @@ def test_the_runs_exercise_what_they_claim():
     assert ag[0] is False and len(ag[1]) > 1
     budgets = _oracle("none", "state-budget")
     assert [stats["termination"] for stats in budgets[:4]] == ["state-budget"] * 4
+
+
+def test_the_clock_runs_exercise_what_they_claim():
+    """The clock-constrained specs decide on a zone, after a real search."""
+    ef = _oracle("none", "ef-clock-goal")[0]
+    assert ef[0] is True and ef[2]["termination"] == "goal"
+    assert ef[2]["states_explored"] == 13
+    ag = _oracle("none", "ag-clock-violation")[0]
+    assert ag[0] is False and ag[2]["states_explored"] == 27
+    sup = _oracle("none", "sup-clock-condition")[0]
+    assert sup[:3] == (7, True, False) and sup[3] is not None
 
 
 @pytest.mark.parametrize("network", [_interleaved_network, _branching_network])
