@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from repro.core import expressions as ex
-from repro.core.automaton import Edge, Location, TimedAutomaton
+from repro.core.automaton import Edge, TimedAutomaton
 from repro.core.declarations import BINARY, BROADCAST, Channel, Clock, Constant, IntVariable
 from repro.core.guards import ClockConstraint
 from repro.util.errors import ModelError

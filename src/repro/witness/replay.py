@@ -34,7 +34,6 @@ from repro.baselines.des.simulator import _SimulationRun
 from repro.core.network import CompiledNetwork
 from repro.core.successors import SuccessorGenerator
 from repro.util.errors import AnalysisError
-from repro.witness.concretise import ConcretisedStep
 from repro.witness.schedule import ConcreteRun
 
 __all__ = [

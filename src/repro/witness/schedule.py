@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from repro.arch.model import ArchitectureModel
 from repro.util.errors import WitnessError
-from repro.witness.concretise import Concretisation, ConcretisedStep
+from repro.witness.concretise import ConcretisedStep
 
 __all__ = [
     "WITNESS_SCHEMA",

@@ -8,14 +8,11 @@ the end-to-end pipeline are checked against known values.
 import pytest
 
 from repro.arch import (
-    BUS_FCFS_NONDETERMINISTIC,
-    BUS_FIXED_PRIORITY,
     BUS_TDMA,
     FIXED_PRIORITY_NONPREEMPTIVE,
     FIXED_PRIORITY_PREEMPTIVE,
     NONPREEMPTIVE_NONDETERMINISTIC,
     ArchitectureModel,
-    Bursty,
     Bus,
     Execute,
     LatencyRequirement,
@@ -35,7 +32,7 @@ from repro.arch import (
     queue_variable,
 )
 from repro.arch.observers import build_latency_observer
-from repro.arch.timebase import MICROSECONDS, TimeBase
+from repro.arch.timebase import MICROSECONDS
 from repro.util.errors import ModelError
 
 

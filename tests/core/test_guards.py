@@ -8,7 +8,6 @@ from repro.core.guards import (
     TRUE_GUARD,
     ClockConstraint,
     Guard,
-    Invariant,
     compile_guard,
     compile_invariant,
 )
