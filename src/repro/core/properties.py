@@ -31,8 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core import expressions as ex
+from repro.core import kernels
 from repro.core.guards import ClockConstraint, compile_guard
+from repro.core.kernels import LE_ZERO
 from repro.core.network import CompiledNetwork
 from repro.core.successors import SymbolicState
 from repro.util.errors import ModelError
@@ -215,6 +219,9 @@ class BoundFormula:
         self.network = network
         self._dnf = _to_dnf(_to_nnf(formula, True))
         self._clauses = [self._compile_clause(clause) for clause in self._dnf]
+        #: (clause index, variables) -> the clause's clock constraints as
+        #: constraint rows (they depend on the variables only)
+        self._rows: dict[tuple, bytes] = {}
 
     # each compiled clause: (discrete_checks, zone_constraints)
     #   discrete_checks: list of callables (locations, variables) -> bool
@@ -262,22 +269,47 @@ class BoundFormula:
     # -- evaluation -----------------------------------------------------------
     def possibly(self, state: SymbolicState) -> bool:
         """True when some clock valuation of *state* satisfies the formula."""
-        net = self.network
-        for discrete_checks, clock_constraints in self._clauses:
-            if not all(check(state.locations, state.variables) for check in discrete_checks):
+        zones = state.zone.m2[None]
+        return bool(self.possibly_many(state.locations, state.variables, zones)[0])
+
+    def possibly_many(
+        self, locations: tuple[int, ...], variables: tuple[int, ...], zones: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`possibly` for every layer of *zones*, as a boolean mask.
+
+        *zones* is a ``(count, dim, dim)`` int64 array of zones that share the
+        discrete part ``(locations, variables)``.  Per clause the discrete
+        checks run once; then the clause's clock constraints, evaluated for
+        these variables (once per variable vector, all before any is
+        applied), are conjoined onto a copy of the layers no earlier clause
+        satisfied by one ``constrain_stack`` call.
+        """
+        satisfied = None
+        for index, (discrete_checks, clock_constraints) in enumerate(self._clauses):
+            if not all(check(locations, variables) for check in discrete_checks):
                 continue
             if not clock_constraints:
-                return True
-            zone = state.zone.copy()
-            env = net.variable_valuation(state.variables)
-            satisfied = True
-            for constraint in clock_constraints:
-                if not constraint.apply(zone, net.clock_index, env):
-                    satisfied = False
-                    break
-            if satisfied:
-                return True
-        return False
+                return ~np.zeros(len(zones), dtype=bool)
+            rows = self._rows.get((index, variables))
+            if rows is None:
+                env = self.network.variable_valuation(variables)
+                rows = self._rows[index, variables] = kernels.constraint_rows(
+                    triple
+                    for constraint in clock_constraints
+                    for triple in constraint.raw_constraints(self.network.clock_index, env)
+                )
+            if satisfied is None:
+                trial = zones.copy()
+                kernels.constrain_stack(trial, rows)
+                satisfied = trial[:, 0, 0] >= LE_ZERO
+            else:
+                open_layers = np.flatnonzero(~satisfied)
+                trial = zones[open_layers]
+                kernels.constrain_stack(trial, rows)
+                satisfied[open_layers[trial[:, 0, 0] >= LE_ZERO]] = True
+            if satisfied.all():
+                break
+        return satisfied if satisfied is not None else np.zeros(len(zones), dtype=bool)
 
     def certainly(self, state: SymbolicState) -> bool:
         """True when every clock valuation of *state* satisfies the formula."""

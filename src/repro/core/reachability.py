@@ -36,6 +36,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from repro.core.dbm import INFINITY_RAW, bound_as_tuple
 from repro.core.federation import Federation
 from repro.core.network import CompiledNetwork
@@ -226,22 +228,30 @@ class _SearchNode:
         return Trace(tuple(steps))
 
 
+#: the :meth:`_EvalSpec.evaluate` entry of a zone that does not meet the sup
+#: condition (below every raw bound)
+_NO_BOUND = np.iinfo(np.int64).min
+
+
 class _EvalSpec:
     """What a query entry point looks at in the stored states.
 
-    Both loops evaluate the spec through :meth:`observe` on every stored
-    state in scalar visit order -- the scalar loop directly, the layered
-    core inside its partitions (the spec closes over bound formulas whose
-    query constants the entry point registered before the exploration, so
-    forked partitions inherit them).  Either loop then calls the entry
-    point's ``visit`` once, on the goal or supremum state.
+    A goal query evaluates a bound formula, a sup query the raw upper bound
+    of one clock over the states that meet an optional condition.  The
+    scalar loop calls :meth:`observe` on every stored state in visit order;
+    the layered core calls :meth:`evaluate` once per discrete key and round
+    on that key's stored zones and resolves the results in tag order (the
+    spec closes over bound formulas whose query constants the entry point
+    registered before the exploration, so forked partitions inherit them).
+    Either loop then calls the entry point's ``visit`` once, on the goal or
+    supremum state.
     """
 
-    __slots__ = ("kind", "predicate", "clock_id", "condition")
+    __slots__ = ("kind", "formula", "clock_id", "condition")
 
-    def __init__(self, kind, predicate=None, clock_id=None, condition=None):
+    def __init__(self, kind, formula=None, clock_id=None, condition=None):
         self.kind = kind  # "count", "goal" or "sup"
-        self.predicate = predicate
+        self.formula = formula
         self.clock_id = clock_id
         self.condition = condition
 
@@ -254,7 +264,7 @@ class _EvalSpec:
         the state visited first keeps the supremum; otherwise None.
         """
         if self.kind == "goal":
-            return self.predicate(state), None
+            return self.formula.possibly(state), None
         if self.kind == "sup" and (
             self.condition is None or self.condition.possibly(state)
         ):
@@ -262,6 +272,21 @@ class _EvalSpec:
             if best_raw is None or raw > best_raw:
                 return False, raw
         return False, None
+
+    def evaluate(self, locations, variables, zones: np.ndarray) -> np.ndarray:
+        """Evaluate the query on the ``(count, dim, dim)`` *zones* of one
+        discrete key ``(locations, variables)``.
+
+        A goal query returns the goal mask; a sup query the raw upper bound
+        of the sup clock per zone, :data:`_NO_BOUND` where the condition
+        fails.
+        """
+        if self.kind == "goal":
+            return self.formula.possibly_many(locations, variables, zones)
+        bounds = zones[:, self.clock_id, 0].copy()
+        if self.condition is not None:
+            bounds[~self.condition.possibly_many(locations, variables, zones)] = _NO_BOUND
+        return bounds
 
 
 _COUNT = _EvalSpec("count")
@@ -512,7 +537,7 @@ class Explorer:
         saved_constants = self.network.query_constants_snapshot()
         try:
             bound_formula = query.bind(self.network)
-            stats, goal = self._run_query(_EvalSpec("goal", bound_formula.possibly))
+            stats, goal = self._run_query(_EvalSpec("goal", bound_formula))
             if goal is not None:
                 return ReachabilityResult(
                     query, True, goal.trace() if self.search.record_traces else None, stats
@@ -535,7 +560,7 @@ class Explorer:
                 self.network.register_query_constant(clock, constant)
             for clock, constant in bound_formula.max_clock_constant().items():
                 self.network.register_query_constant(clock, constant)
-            stats, violation = self._run_query(_EvalSpec("goal", negated.possibly))
+            stats, violation = self._run_query(_EvalSpec("goal", negated))
             if violation is not None:
                 return ReachabilityResult(
                     query,

@@ -25,19 +25,25 @@ Round protocol
 The exploration proceeds in *rounds*, each a contiguous range of the scalar
 BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 
-1. **expand**: every partition pops its frontier states below the round
-   horizon, fires each same-key group of them as one zone array
+1. **expand**: every partition pops its frontier rows below the round
+   horizon, groups them by key (a stable argsort of the key ids), fires
+   each same-key block as one zone array
    (:meth:`SuccessorGenerator.block_successors`), folds each target key onto
    its symmetry representative *before* hashing, and routes each candidate
    -- tagged ``(parent_seq, plan_index)`` -- to the owner of its target key.
-2. **decide**: every partition sorts the candidates it owns by tag and
+2. **decide**: every partition sorts the candidates it owns by tag (one
+   lexsort), scatters their rows once into one key-grouped array and
    replays the scalar store discipline per key: one batched
    :meth:`Federation.covers_many` pass against the pre-round federation,
    the within-round screen (``kernels.covered_by_earlier``) on the raw
    rows, one round-wide batched extrapolation, the same screen on the
    extrapolated survivors, and a single
    :meth:`Federation.add_many_uncovered` flush per key.  Every zone kernel
-   is a call into :mod:`repro.core.kernels`.
+   is a call into :mod:`repro.core.kernels`.  The query spec is then
+   evaluated once per key, over the rows the key stored
+   (:meth:`repro.core.reachability._EvalSpec.evaluate`), and resolved in
+   tag order.  Frontier states never become objects: a partition keeps
+   them as row arrays.
 3. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
@@ -92,18 +98,18 @@ from collections import deque
 import numpy as np
 
 from repro.core import kernels
-from repro.core.dbm import DBM
 from repro.core.federation import Federation
 from repro.core.kernels import _MAX_STACK_ROWS
 from repro.core.network import CompiledNetwork
 from repro.core.reachability import (
+    _NO_BOUND,
     _UNRECORDED,
     Explorer,
     SearchOptions,
     _SearchNode,
 )
 from repro.core.statistics import ExplorationStatistics
-from repro.core.successors import SemanticsOptions, SymbolicState, pack_discrete
+from repro.core.successors import SemanticsOptions, pack_discrete
 from repro.core.symmetry import permute_zones
 from repro.util.errors import AnalysisError
 
@@ -174,27 +180,23 @@ def _recv(fd: int) -> tuple:
     return pickle.loads(_read_exact(fd, length))
 
 
-class _KeyContext:
-    """Per-target-key store state of one decide phase."""
-
-    __slots__ = ("key", "pending", "locations", "variables")
-
-    def __init__(self, key, locations, variables):
-        self.key = key
-        #: rows of the decide step's extrapolated array stored under this
-        #: key, in tag order
-        self.pending = []
-        self.locations = locations
-        self.variables = variables
+def _runs(sorted_ids: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` ranges of equal values in the sorted *sorted_ids*."""
+    cuts = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    bounds = [0, *cuts.tolist(), len(sorted_ids)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class _Partition:
     """One key partition of the layered core, with no transport attached.
 
-    Holds the passed federations of the keys it owns and the frontier states
+    Holds the passed federations of the keys it owns and the frontier
     awaiting expansion, and runs the steps of a round (:meth:`expand`,
-    :meth:`decide`).  In-process the coordinator calls it directly; forked
-    it runs behind a :class:`_ShardWorker`.
+    :meth:`decide`).  The frontier is a FIFO of per-round batches ``(seqs,
+    key_ids, rows)``: increasing sequence numbers, ids into the partition's
+    key table, and the stored (extrapolated) zones as one ``(count, dim *
+    dim)`` int64 array -- no state objects.  In-process the coordinator
+    calls it directly; forked it runs behind a :class:`_ShardWorker`.
     """
 
     def __init__(self, rank, workers, explorer, spec, initial, root_key):
@@ -205,28 +207,61 @@ class _Partition:
         self.spec = spec
         self.dim = explorer.network.dim
         self.n_instances = len(explorer.network.instances)
-        self.passed: dict[bytes, Federation] = {}
-        #: (seq, key_bytes, state), stored, not yet expanded; FIFO, because
-        #: the coordinator hands every partition its seqs in increasing order
-        self.frontier: deque[tuple[int, bytes, SymbolicState]] = deque()
-        #: stored last round, awaiting sequence numbers (tag order)
-        self.unassigned: list[tuple[bytes, SymbolicState]] = []
+        #: the key table: key bytes -> id, and per id the decoded
+        #: ``(locations, variables)`` and the passed federation
+        self.key_ids: dict[bytes, int] = {}
+        self.discrete: list[tuple[tuple, tuple]] = []
+        self.passed: list[Federation] = []
+        #: ``(seqs, key_ids, rows)`` batches, stored, not yet expanded; FIFO,
+        #: because the coordinator hands every partition its seqs in
+        #: increasing order
+        self.frontier: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
+        #: ``(key_ids, rows)`` stored last round, awaiting sequence numbers
+        #: (tag order)
+        self.unassigned: tuple[np.ndarray, np.ndarray] | None = None
         #: candidate groups this partition generated for its own keys
         self.local_groups: list[tuple] = []
         self.sup_best: tuple[int, tuple[int, int]] | None = None
         if _owner_of(root_key, workers) == rank:
-            federation = Federation(self.dim)
-            federation.add_uncovered(initial.zone)
-            self.passed[root_key] = federation
-            self.frontier.append((0, root_key, initial))
+            root = self._key_id(root_key)
+            self.passed[root].add_uncovered(initial.zone)
+            self.frontier.append((
+                np.zeros(1, dtype=np.int64), np.array([root], dtype=np.intp),
+                initial.zone.m[None].copy(),
+            ))
+
+    def _key_id(self, key_bytes: bytes) -> int:
+        """The id of *key_bytes* in the key table, added on first sight."""
+        key = self.key_ids.get(key_bytes)
+        if key is None:
+            key = self.key_ids[key_bytes] = len(self.discrete)
+            self.discrete.append(_unpack_key(key_bytes, self.n_instances))
+            self.passed.append(Federation(self.dim))
+        return key
 
     def _install(self, assigned) -> None:
         """Bind the coordinator's sequence numbers to last round's stores."""
-        if len(assigned) != len(self.unassigned):  # pragma: no cover
+        stored, self.unassigned = self.unassigned, None
+        if len(assigned) != (0 if stored is None else len(stored[0])):  # pragma: no cover
             raise AnalysisError("shard sequence assignment out of step")
-        for (key, state), seq in zip(self.unassigned, assigned):
-            self.frontier.append((seq, key, state))
-        self.unassigned = []
+        if len(assigned):
+            self.frontier.append((assigned, *stored))
+
+    def _pop(self, upto) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Remove and return the frontier entries below *upto* as one batch
+        (None when there are none); a batch the horizon cuts is split."""
+        parts = []
+        frontier = self.frontier
+        while frontier and frontier[0][0][0] < upto:
+            seqs, key_ids, rows = frontier.popleft()
+            cut = int(np.searchsorted(seqs, upto))
+            if cut < len(seqs):
+                frontier.appendleft((seqs[cut:], key_ids[cut:], rows[cut:]))
+                seqs, key_ids, rows = seqs[:cut], key_ids[:cut], rows[:cut]
+            parts.append((seqs, key_ids, rows))
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     # -------------------------------------------------------------- expand
     def expand(self, upto, assigned) -> tuple:
@@ -239,54 +274,55 @@ class _Partition:
         of candidates handed to other partitions.
         """
         self._install(assigned)
-        # same-key runs of at most _MAX_STACK_ROWS each, so the batched
-        # kernels never allocate round-sized buffers
-        blocks: list[list] = []
-        open_blocks: dict[bytes, list] = {}
-        frontier = self.frontier
-        while frontier and frontier[0][0] < upto:
-            seq, key, state = frontier.popleft()
-            block = open_blocks.get(key)
-            if block is None or len(block) == _MAX_STACK_ROWS:
-                block = open_blocks[key] = []
-                blocks.append(block)
-            block.append((seq, state))
-
         outgoing: dict[int, list] = {}
         error = None  # (parent_seq, exception)
         handoffs = 0
-        for group in blocks:
-            seqs = np.array([seq for seq, _ in group], dtype=np.int64)
-            states = [state for _, state in group]
-            _info, fires = self.generator.block_successors(states)
-            for fire in fires:
-                if fire.error is not None:
-                    error_seq = int(seqs[fire.node_indices].min())
-                    if error is None or error_seq < error[0]:
-                        error = (error_seq, fire.error)
-                    continue
-                plan = fire.plan
-                key_bytes = plan.key_bytes
-                folded = False
-                if self.symmetry is not None:
-                    locations, variables, perm = self.symmetry.canonicalize(
-                        plan.locations, plan.variables, plan.key_bytes
-                    )
-                    if perm is not None:
-                        # fold before hashing: the whole array shares the
-                        # plan's target key, one permutation folds every layer
-                        permute_zones(fire.zones, perm)
-                        key_bytes = pack_discrete(locations, variables)
-                        folded = True
-                parent_seqs = seqs[fire.node_indices]
-                rows = fire.zones.reshape(len(parent_seqs), -1)
-                candidates = (key_bytes, fire.plan_index, folded, parent_seqs, rows)
-                dest = _owner_of(key_bytes, self.workers)
-                if dest == self.rank:
-                    self.local_groups.append(candidates)
-                else:
-                    handoffs += len(parent_seqs)
-                    outgoing.setdefault(dest, []).append(candidates)
+        batch = self._pop(upto)
+        if batch is None:
+            return outgoing, error, handoffs
+        seqs, key_ids, rows = batch
+        dim = self.dim
+        # same-key blocks in seq order, of at most _MAX_STACK_ROWS rows each,
+        # so the batched kernels never allocate round-sized buffers
+        by_key = np.argsort(key_ids, kind="stable")
+        sorted_ids = key_ids[by_key]
+        for first, stop in _runs(sorted_ids):
+            discrete = self.discrete[sorted_ids[first]]
+            for start in range(first, stop, _MAX_STACK_ROWS):
+                block = by_key[start:min(stop, start + _MAX_STACK_ROWS)]
+                block_seqs = seqs[block]
+                _info, fires = self.generator.block_successors(
+                    rows[block].reshape(len(block), dim, dim), discrete
+                )
+                for fire in fires:
+                    if fire.error is not None:
+                        error_seq = int(block_seqs[fire.node_indices].min())
+                        if error is None or error_seq < error[0]:
+                            error = (error_seq, fire.error)
+                        continue
+                    plan = fire.plan
+                    key_bytes = plan.key_bytes
+                    folded = False
+                    if self.symmetry is not None:
+                        locations, variables, perm = self.symmetry.canonicalize(
+                            plan.locations, plan.variables, plan.key_bytes
+                        )
+                        if perm is not None:
+                            # fold before hashing: the whole array shares the
+                            # plan's target key, one permutation folds every
+                            # layer
+                            permute_zones(fire.zones, perm)
+                            key_bytes = pack_discrete(locations, variables)
+                            folded = True
+                    parent_seqs = block_seqs[fire.node_indices]
+                    candidates = (key_bytes, fire.plan_index, folded, parent_seqs,
+                                  fire.zones.reshape(len(parent_seqs), -1))
+                    dest = _owner_of(key_bytes, self.workers)
+                    if dest == self.rank:
+                        self.local_groups.append(candidates)
+                    else:
+                        handoffs += len(parent_seqs)
+                        outgoing.setdefault(dest, []).append(candidates)
         return outgoing, error, handoffs
 
     # -------------------------------------------------------------- decide
@@ -300,29 +336,35 @@ class _Partition:
         groups = list(incoming)
         groups.extend(self.local_groups)
         self.local_groups = []
+        if not groups:
+            empty = np.empty(0, dtype=np.int64)
+            nothing = np.zeros(0, dtype=bool)
+            return empty, empty, nothing, nothing, None, self.sup_best
 
-        candidates = []  # (parent_seq, plan_index, group, row)
-        for g, (_key, plan_index, _folded, parent_seqs, _rows) in enumerate(groups):
-            for i, parent_seq in enumerate(parent_seqs):
-                candidates.append((int(parent_seq), int(plan_index), g, i))
-        candidates.sort(key=lambda c: (c[0], c[1]))
+        # tag order: position -> index into the groups' concatenation
+        sizes = [len(group[3]) for group in groups]
+        total = sum(sizes)
+        parents = np.concatenate([group[3] for group in groups])
+        plans = np.repeat(np.array([group[1] for group in groups], dtype=np.int64), sizes)
+        order = np.lexsort((plans, parents))
+        parents, plans = parents[order], plans[order]
+        folded = np.repeat(np.array([group[2] for group in groups], dtype=bool), sizes)[order]
+        group_keys = np.array([self._key_id(group[0]) for group in groups], dtype=np.intp)
+        keys = np.repeat(group_keys, sizes)[order]
 
-        total = len(candidates)
-        if total:
-            arr = np.array(candidates, dtype=np.int64)
-        else:
-            arr = np.empty((0, 4), dtype=np.int64)
-        parents = np.ascontiguousarray(arr[:, 0])
-        plans = np.ascontiguousarray(arr[:, 1])
-        group_folded = np.fromiter(
-            (bool(group[2]) for group in groups), dtype=bool, count=len(groups)
-        )
-        folded_mask = (
-            group_folded[arr[:, 2]] if total else np.zeros(0, dtype=bool)
-        )
-        stored = np.zeros(total, dtype=bool)
+        # the candidates grouped by key, each key's run in tag order: every
+        # group's rows are scattered once into their slots of one array
+        by_key = np.argsort(keys, kind="stable")
+        slot = np.empty(total, dtype=np.intp)
+        slot[order[by_key]] = np.arange(total)
+        raw = np.empty((total, self.dim * self.dim), dtype=np.int64)
+        offset = 0
+        for group, size in zip(groups, sizes):
+            raw[slot[offset:offset + size]] = group[4]
+            offset += size
+        del groups, slot
 
-        # per-key preparation: coverage on the raw rows against the pre-round
+        # per key: coverage on the raw rows against the pre-round
         # federation, then a two-stage within-round screen (the scalar
         # store-then-recheck discipline, batched; both stages are one
         # kernels.covered_by_earlier call):
@@ -338,106 +380,98 @@ class _Partition:
         # store-then-recheck would: by transitivity of inclusion, a
         # candidate covered by a killed earlier zone is also covered by
         # whatever stored zone killed that one.
-        key_refs: dict[bytes, list] = {}
-        for index, (parent_seq, plan_index, g, i) in enumerate(candidates):
-            key_refs.setdefault(groups[g][0], []).append((g, i, index))
-        prepared = []  # (key, refs, decision, survivors, sub, offset)
-        total_layers = 0
-        for key, refs in key_refs.items():
-            g = refs[0][0]
-            if len(refs) == len(groups[g][4]) and all(
-                ref[0] == g and ref[1] == pos for pos, ref in enumerate(refs)
-            ):
-                raw = groups[g][4]  # whole single group, already in order
+        prepared = []  # (key, first, survivors, offset), survivors in run order
+        kept_rows = [np.empty((0, self.dim * self.dim), dtype=np.int64)]
+        offset = 0
+        for first, stop in _runs(keys[by_key]):
+            key = int(keys[by_key[first]])
+            run = raw[first:stop]
+            federation = self.passed[key]
+            if federation:
+                survivors = np.flatnonzero(~federation.covers_many(run))
+                if not len(survivors):
+                    continue
+                if len(survivors) < len(run):
+                    run = run[survivors]
             else:
-                raw = np.stack([groups[g][4][i] for g, i, _index in refs])
-            federation = self.passed.get(key)
-            if federation is not None:
-                covered = federation.covers_many(raw)
-            else:
-                covered = np.zeros(len(refs), dtype=bool)
-            kept = np.flatnonzero(~covered)
-            decision = ~covered
-            survivors = sub = None
-            offset = total_layers
-            if len(kept):
-                sub = raw[kept] if len(kept) < len(refs) else raw
-                doomed_raw = kernels.covered_by_earlier(sub)
-                if doomed_raw.any():
-                    sub = sub[~doomed_raw]
-                survivors = kept[~doomed_raw]
-                total_layers += len(survivors)
-            prepared.append((key, refs, decision, survivors, sub, offset))
+                survivors = np.arange(len(run))
+            doomed = kernels.covered_by_earlier(run)
+            if doomed.any():
+                run, survivors = run[~doomed], survivors[~doomed]
+            prepared.append((key, first, survivors, offset))
+            kept_rows.append(run)
+            offset += len(survivors)
+        del raw
 
         # the survivors of every key in one array, extrapolated in place in
         # chunks of _MAX_STACK_ROWS: the grids are global and each layer's
         # kernels independent, so batching across keys amortises the
         # per-stack dispatch cost without round-sized kernel scratch
-        flat_all = None
-        if total_layers:
-            flat_all = np.empty((total_layers, self.dim * self.dim), dtype=np.int64)
-            for _key, _refs, _decision, survivors, sub, offset in prepared:
-                if survivors is not None and len(survivors):
-                    flat_all[offset:offset + len(survivors)] = sub
-            cube = flat_all.reshape(total_layers, self.dim, self.dim)
-            for start in range(0, total_layers, _MAX_STACK_ROWS):
-                self.generator.extrapolate(cube[start:start + _MAX_STACK_ROWS])
+        flat_all = np.concatenate(kept_rows)
+        del kept_rows
+        cube = flat_all.reshape(len(flat_all), self.dim, self.dim)
+        for start in range(0, len(cube), _MAX_STACK_ROWS):
+            self.generator.extrapolate(cube[start:start + _MAX_STACK_ROWS])
 
-        contexts: list[_KeyContext] = []
-        zone_context: list = [None] * total
-        zone_layer = np.zeros(total, dtype=np.intp)
-        for key, refs, decision, survivors, _sub, offset in prepared:
-            layer_of = None
-            if survivors is not None and len(survivors):
-                count = len(survivors)
-                flat = flat_all[offset:offset + count]
-                decision[:] = False
-                decision[survivors[~kernels.covered_by_earlier(flat)]] = True
-                layer_of = np.full(len(refs), -1, dtype=np.intp)
-                layer_of[survivors] = offset + np.arange(count)
-            locations, variables = _unpack_key(key, self.n_instances)
-            context = _KeyContext(key, locations, variables)
-            contexts.append(context)
-            positions = np.flatnonzero(decision)
-            if len(positions):
-                cand = np.fromiter(
-                    (refs[p][2] for p in positions.tolist()),
-                    dtype=np.intp, count=len(positions),
-                )
-                stored[cand] = True
-                zone_layer[cand] = layer_of[positions]
-                for index in cand.tolist():
-                    zone_context[index] = context
+        # the second screen, the federation flush and the rows each key
+        # stores, keyed by the tag position of its first stored candidate
+        stored = np.zeros(total, dtype=bool)
+        layer = np.empty(total, dtype=np.intp)  # tag position -> flat_all row
+        runs = []  # (first tag position, key, tag positions, rows)
+        for key, first, survivors, offset in prepared:
+            flat = flat_all[offset:offset + len(survivors)]
+            keep = np.flatnonzero(~kernels.covered_by_earlier(flat))
+            positions = by_key[first + survivors[keep]]
+            stored[positions] = True
+            layer[positions] = offset + keep
+            rows = flat[keep] if len(keep) < len(flat) else flat
+            self.passed[key].add_many_uncovered(rows)
+            runs.append((int(positions[0]), key, positions, rows))
 
-        # tag-ordered walk over the stored candidates only: assemble the
-        # frontier states and evaluate the query spec in scalar visit order
+        new = np.flatnonzero(stored)
+        if len(new):
+            self.unassigned = (keys[new], flat_all[layer[new]])
+        goal_tag = self._evaluate(runs, parents, plans) if self.spec.kind != "count" else None
+        return parents, plans, stored, folded, goal_tag, self.sup_best
+
+    def _evaluate(self, runs, parents, plans):
+        """Evaluate the query spec once per key on the rows it stored this
+        round and resolve the results in tag order; returns the goal tag.
+
+        Keys are visited in order of their first stored candidate, and none
+        after a goal: a key whose first stored candidate follows the goal is
+        never evaluated, as the scalar loop never reaches it.  A sup query
+        keeps the first strict maximum, so on ties the earlier state --
+        also one of an earlier round -- keeps the supremum.
+        """
         spec = self.spec
-        goal_tag = None
-        for index in np.flatnonzero(stored).tolist():
-            context = zone_context[index]
-            layer = zone_layer[index]
-            context.pending.append(layer)
-            zone = DBM(self.dim, raw=flat_all[layer])
-            state = SymbolicState(
-                context.locations, context.variables, zone, context.key
-            )
-            self.unassigned.append((context.key, state))
-            if goal_tag is None:
-                best_raw = None if self.sup_best is None else self.sup_best[0]
-                goal, raw = spec.observe(state, best_raw)
-                if goal:
-                    goal_tag = (int(parents[index]), int(plans[index]))
-                elif raw is not None:
-                    self.sup_best = (raw, (int(parents[index]), int(plans[index])))
-
-        for context in contexts:
-            if context.pending:
-                federation = self.passed.get(context.key)
-                if federation is None:
-                    federation = Federation(self.dim)
-                    self.passed[context.key] = federation
-                federation.add_many_uncovered(flat_all[context.pending])
-        return parents, plans, stored, folded_mask, goal_tag, self.sup_best
+        goal = None  # tag position
+        best = None if self.sup_best is None else self.sup_best[0]
+        best_at = None
+        runs.sort(key=lambda run: run[0])
+        for first, key, positions, rows in runs:
+            if goal is not None and first > goal:
+                break
+            result = spec.evaluate(*self.discrete[key],
+                                   rows.reshape(len(rows), self.dim, self.dim))
+            if spec.kind == "goal":
+                hits = positions[result]
+                if len(hits) and (goal is None or hits[0] < goal):
+                    goal = int(hits[0])
+                continue
+            top = int(np.argmax(result))
+            raw = int(result[top])
+            if raw == _NO_BOUND:
+                continue
+            if best is None or raw > best or (
+                raw == best and best_at is not None and positions[top] < best_at
+            ):
+                best, best_at = raw, int(positions[top])
+        if best_at is not None:
+            self.sup_best = (best, (int(parents[best_at]), int(plans[best_at])))
+        if goal is None:
+            return None
+        return (int(parents[goal]), int(plans[goal]))
 
 
 # ------------------------------------------------------------------ transports
@@ -673,8 +707,8 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_sup,
     partition_sup: list[tuple | None] = [None] * workers
     #: sequence numbers assigned at the end of the previous round, in
     #: increasing order, to be delivered with the next expand (aligned to
-    #: each partition's tag-sorted unassigned list)
-    assignments: list[list[int]] = [[] for _ in range(workers)]
+    #: each partition's tag-sorted unassigned rows)
+    assignments = [np.empty(0, dtype=np.int64)] * workers
 
     while True:
         if next_seq == expanded:
@@ -747,7 +781,7 @@ def _coordinate(explorer, spec, visit, stats, fleet, initial, root_sup,
         parent_of.frombytes(parents[new].tobytes())
         plan_of.frombytes(plans[new].tobytes())
         seqs = np.arange(next_seq, next_seq + len(new))
-        assignments = [seqs[owner[new] == rank].tolist() for rank in range(workers)]
+        assignments = [seqs[owner[new] == rank] for rank in range(workers)]
         next_seq += len(new)
 
         expanded = upto

@@ -236,9 +236,9 @@ class BlockFire:
     Produced by :meth:`SuccessorGenerator.block_successors`.  ``zones`` is
     the ``(len(node_indices), dim, dim)`` array of the surviving
     delay-closed (not yet extrapolated) successor zones, one layer per entry
-    of ``node_indices`` (positions within the input block).  When the plan
+    of ``node_indices`` (layers of the input block).  When the plan
     carries a deferred evaluation error, ``zones`` is ``None`` and
-    ``node_indices`` lists the block positions whose guards passed --
+    ``node_indices`` lists the block layers whose guards passed --
     expanding any of those states must re-raise ``error``, as
     :meth:`SuccessorGenerator.successors` does.
     """
@@ -638,11 +638,12 @@ class SuccessorGenerator:
             edges=tuple((net.instances[edge.instance].name, edge.original) for edge in edges),
         )
 
-    def plan_info(self, state: SymbolicState) -> _DiscreteInfo:
-        """The memoised discrete info of *state* with its plan list built."""
-        info = self._discrete_info(state.locations, state.variables)
+    def plan_info(self, locations: tuple[int, ...], variables: tuple[int, ...]) -> _DiscreteInfo:
+        """The memoised discrete info of ``(locations, variables)`` with its
+        plan list built."""
+        info = self._discrete_info(locations, variables)
         if info.plans is None:
-            self._build_plans(info, state.locations, state.variables)
+            self._build_plans(info, locations, variables)
         return info
 
     def successors(
@@ -663,7 +664,7 @@ class SuccessorGenerator:
         plan chains this way.  A plan with a deferred evaluation error raises
         it when its guards pass, before any later plan is fired.
         """
-        info = self.plan_info(state)
+        info = self.plan_info(state.locations, state.variables)
         dim = state.zone.dim
         results: list[tuple[TransitionLabel | None, SymbolicState]] = []
         for fire in self._fire_plans(info, state.zone.m2[None], plan_indices):
@@ -681,22 +682,19 @@ class SuccessorGenerator:
         return results
 
     def block_successors(
-        self, states: Sequence[SymbolicState]
+        self, zones: np.ndarray, key: tuple[tuple[int, ...], tuple[int, ...]]
     ) -> tuple[_DiscreteInfo, list[BlockFire]]:
         """Fire every plan against a block of states sharing one discrete key.
 
-        All *states* must have identical ``(locations, variables)`` -- the
-        layered core groups each round's frontier by key -- so they share
-        the memoised plan list, and each plan's clock work runs once for the
-        whole block (:meth:`_fire_plans`).  Per fired plan the result lists
-        the surviving block positions and their delay-closed zones;
-        extrapolation is deferred exactly like ``successors(...,
-        extrapolate=False)`` (the engine extrapolates only the states it
-        keeps, via :meth:`extrapolate`).
+        *zones* is the ``(count, dim, dim)`` int64 array of the block's zones
+        and *key* their common ``(locations, variables)`` -- the layered core
+        groups each round's frontier rows by key -- so the block shares the
+        memoised plan list, and each plan's clock work runs once for the
+        whole block (:meth:`_fire_plans`); *zones* is not modified.  Per
+        fired plan the result lists the surviving layers and their
+        delay-closed zones; extrapolation is deferred exactly like
+        ``successors(..., extrapolate=False)`` (the engine extrapolates only
+        the states it keeps, via :meth:`extrapolate`).
         """
-        info = self.plan_info(states[0])
-        if len(states) == 1:
-            source = states[0].zone.m2[None]
-        else:
-            source = np.stack([state.zone.m2 for state in states])
-        return info, list(self._fire_plans(info, source))
+        info = self.plan_info(*key)
+        return info, list(self._fire_plans(info, zones))

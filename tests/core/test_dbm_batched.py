@@ -131,9 +131,11 @@ class TestZoneArrays:
         generator = SuccessorGenerator(net.compile())
         state = generator.initial_state()
         before = state.zone.copy()
-        _info, fires = generator.block_successors([state, state])
+        block = np.stack([state.zone.m2, state.zone.m2])
+        _info, fires = generator.block_successors(block, state.discrete_key())
         assert [fire.plan_index for fire in fires] == [0, 1]
-        assert all(not np.shares_memory(fire.zones, state.zone.m) for fire in fires)
+        assert all(not np.shares_memory(fire.zones, block) for fire in fires)
+        assert all(np.array_equal(layer, state.zone.m2) for layer in block)
         for _label, successor in generator.successors(state):
             assert not np.shares_memory(successor.zone.m, state.zone.m)
         assert state.zone == before

@@ -1,9 +1,11 @@
 """Tests of the reachability engine, queries and WCRT extraction."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
     AG,
+    DBM,
     EF,
     DataProp,
     Explorer,
@@ -13,11 +15,12 @@ from repro.core import (
     Or,
     SearchOptions,
     Sup,
+    SymbolicState,
     TimedAutomaton,
     wcrt_binary_search,
     wcrt_sup,
 )
-from repro.core.properties import ClockProp, parse_atom
+from repro.core.properties import BoundFormula, ClockProp, parse_atom
 from repro.util.errors import AnalysisError, ModelError
 
 
@@ -269,3 +272,71 @@ class TestQueryConstantScoping:
         Explorer(compiled).sup(Sup("T.x", None, ceiling=100))
         clock = compiled.clock_id("T.x")
         assert compiled.max_constants[clock] >= 777
+
+
+# ------------------------------------------------------------ formulas over zone arrays
+
+
+def _two_clock_network():
+    """Two clocks whose difference varies, and a counter read by the bounds."""
+    ta = TimedAutomaton("T")
+    ta.add_clock("x")
+    ta.add_clock("y")
+    ta.add_location("a", invariant="x <= 6", initial=True)
+    ta.add_location("b", invariant="y <= 5")
+    ta.add_edge("a", "b", guard="x >= 2 && n < 5", updates="n++", resets="y")
+    ta.add_edge("b", "a", guard="y >= 1", resets="x")
+    ta.add_edge("b", "b", guard="x - y <= 3 && n < 5", updates="n++", resets="y")
+    net = Network("two_clock")
+    net.add_variable("n", 0, 0, 5)
+    net.add_instance(ta, "T")
+    return net.compile()
+
+
+def _possibly_one_constraint_at_a_time(formula, state):
+    """Oracle: every clause's constraints conjoined one by one on a DBM copy."""
+    net = formula.network
+    env = net.variable_valuation(state.variables)
+    for checks, constraints in formula._clauses:
+        if not all(check(state.locations, state.variables) for check in checks):
+            continue
+        zone = state.zone.copy()
+        if all(c.apply(zone, net.clock_index, env) for c in constraints):
+            return True
+    return False
+
+
+@pytest.mark.usefixtures("kernel_backend")
+def test_possibly_many_equals_possibly_per_layer():
+    net = _two_clock_network()
+    states = []
+    Explorer(net).explore(lambda state, _node: states.append(state))
+    zones = np.stack([state.zone.m2 for state in states])
+    keys = sorted({state.discrete_key() for state in states})
+    assert len(zones) > 10 and len(keys) > 4
+
+    def clock(text):
+        return ClockProp.parse(text, net.clock_index)
+
+    formulas = [
+        clock("T.x == 3"),  # both bounds of one clock
+        DataProp.parse("n >= 1") & clock("T.x - T.y <= 2"),  # a clock difference
+        clock("T.y >= n + 1") | (LocationProp("T", "b") & clock("T.x < 4")),  # variable bound
+        Not(clock("T.x - T.y > 1")) & clock("T.y > 2"),  # a negated difference
+    ]
+    verdicts = set()
+    for formula in formulas:
+        bound = BoundFormula(formula, net)
+        for locations, variables in keys:
+            mask = bound.possibly_many(locations, variables, zones)
+            layers = [
+                SymbolicState(locations, variables, DBM(net.dim, raw=layer))
+                for layer in zones
+            ]
+            assert mask.tolist() == [bound.possibly(state) for state in layers]
+            assert mask.tolist() == [
+                _possibly_one_constraint_at_a_time(bound, state) for state in layers
+            ]
+            verdicts.update(mask.tolist())
+    assert verdicts == {True, False}
+    assert np.array_equal(zones, np.stack([state.zone.m2 for state in states]))

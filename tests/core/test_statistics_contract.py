@@ -101,6 +101,22 @@ def _erroneous_network():
     return net.compile()
 
 
+def _tie_network():
+    """Two keys of one round reach the same supremum of ``T.y``; the key
+    stored first reaches it later in tag order."""
+    ta = TimedAutomaton("T")
+    ta.add_clock("x")
+    ta.add_clock("y")  # never reset: the elapsed time
+    for name, bound in (("s", 1), ("a", 1), ("b", 2), ("c", 2), ("d", 2)):
+        ta.add_location(name, invariant=f"x <= {bound}", initial=name == "s")
+    for source, targets in (("s", "ab"), ("a", "cd"), ("b", "cd")):
+        for target in targets:
+            ta.add_edge(source, target, resets="x")
+    net = Network("ties")
+    net.add_instance(ta, "T")
+    return net.compile()
+
+
 class ScalarOracle(Explorer):
     """Every exploration on the scalar loop: the equality oracle."""
 
@@ -152,12 +168,13 @@ def _sup(make):
     return out
 
 
-def _sup_of(query):
-    """Like ``_sup``, for a supremum query with a condition."""
+def _sup_of(query, network=None):
+    """Like ``_sup``, for another supremum query or network."""
     def run(make):
         out = []
         for record_traces in (True, False):
-            result = make(record_traces=record_traces).sup(query)
+            built = network() if network is not None else None
+            result = make(network=built, record_traces=record_traces).sup(query)
             out.append((result.value, result.attained, result.is_lower_bound,
                         _trace(result.trace), _stats(result.statistics)))
         return out
@@ -214,6 +231,8 @@ RUNS = {
     "sup-clock-condition": _sup_of(
         Sup("w0.x", condition=DataProp.parse("n >= 2") & _clock("w1.x < 3"))
     ),
+    # the first state in tag order keeps a supremum tied across keys
+    "sup-tie-across-keys": _sup_of(Sup("T.y", ceiling=10), _tie_network),
 }
 
 
@@ -263,6 +282,9 @@ def test_the_clock_runs_exercise_what_they_claim():
     assert ag[0] is False and ag[2]["states_explored"] == 27
     sup = _oracle("none", "sup-clock-condition")[0]
     assert sup[:3] == (7, True, False) and sup[3] is not None
+    tie = _oracle("none", "sup-tie-across-keys")[0]
+    assert tie[:3] == (5, True, False)
+    assert [step[1][0] for step in tie[3]] == [(0,), (2,), (3,)]  # s, b, c
 
 
 @pytest.mark.parametrize("network", [_interleaved_network, _branching_network])
