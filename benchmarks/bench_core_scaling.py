@@ -19,7 +19,7 @@ sweep cell is cross-checked against the same seed anchors, so a parallel
 run that explores a different state space fails exactly like a serial one.
 
 The largest cell additionally re-runs on the sharded multi-core engine
-(``--shard-workers 2,4``; ``shard/workersN`` trajectory points).  Sharding
+(``--shard-workers 2``; ``shard/workersN`` trajectory points).  Sharding
 is observationally exact, so every anchor is compared *strictly* against
 the serial twin of the same run -- any deviation is exit 2, like a seed
 anchor mismatch.
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -84,6 +85,50 @@ DEFAULT_OUTPUT = os.path.join(_HERE, "..", "BENCH_core.json")
 REQUIREMENT = "TMC"
 
 
+def _anchors(result) -> dict:
+    """What every rep of a cell must reproduce exactly."""
+    stats = result.detail.statistics
+    return {
+        "wcrt_ticks": result.wcrt_ticks,
+        "is_lower_bound": result.is_lower_bound,
+        "states_explored": stats.states_explored,
+        "states_stored": stats.states_stored,
+        "transitions": stats.transitions,
+    }
+
+
+def repeat_cell(configured, requirement: str, settings, reps: int) -> tuple[dict, object]:
+    """Analyse one cell *reps* times; returns its point and the first result.
+
+    ``states_per_second`` and ``wall_seconds`` are the medians across the
+    reps, with their extremes as ``*_min`` and ``*_max``; ``explore_seconds``
+    is the median exploration time.  Every rep must reproduce the anchors
+    of the first exactly: anchors that differ are listed under
+    ``rep_drift``, which fails the run like an anchor mismatch.
+    """
+    results, walls = [], []
+    for _ in range(max(1, reps)):
+        with Timer() as timer:
+            results.append(analyze_wcrt(configured, requirement, settings))
+        walls.append(timer.seconds)
+    point = _anchors(results[0])
+    point["reps"] = len(results)
+    drift = sorted({
+        name for result in results[1:]
+        for name, value in _anchors(result).items() if value != point[name]
+    })
+    if drift:
+        point["rep_drift"] = drift
+    rates = [result.detail.statistics.states_per_second for result in results]
+    for name, values, digits in (("states_per_second", rates, 1), ("wall_seconds", walls, 4)):
+        point[name] = round(statistics.median(values), digits)
+        point[f"{name}_min"] = round(min(values), digits)
+        point[f"{name}_max"] = round(max(values), digits)
+    point["explore_seconds"] = round(statistics.median(
+        result.detail.statistics.elapsed_seconds for result in results), 4)
+    return point, results[0]
+
+
 def run_cell(
     model,
     combination: str,
@@ -94,7 +139,7 @@ def run_cell(
     search_order: str = "bfs",
     method: str = "sup",
 ) -> dict:
-    """Run one cell *reps* times; returns metrics with the best throughput."""
+    """Run one cell *reps* times (:func:`repeat_cell`)."""
     configured = configure(model, combination, configuration, policy=policy)
     # reductions off: these cells are the unreduced baseline whose anchors
     # stay comparable across the trajectory history; the ``#reduced`` twins
@@ -103,24 +148,7 @@ def run_cell(
         search_order=search_order, max_states=max_states, seed=1, method=method,
         reductions="none",
     )
-    best = None
-    for _ in range(max(1, reps)):
-        with Timer() as timer:
-            result = analyze_wcrt(configured, REQUIREMENT, settings)
-        stats = result.detail.statistics
-        point = {
-            "states_per_second": round(stats.states_per_second, 1),
-            "wcrt_ticks": result.wcrt_ticks,
-            "is_lower_bound": result.is_lower_bound,
-            "states_explored": stats.states_explored,
-            "states_stored": stats.states_stored,
-            "transitions": stats.transitions,
-            "explore_seconds": round(stats.elapsed_seconds, 4),
-            "wall_seconds": round(timer.seconds, 4),
-        }
-        if best is None or point["states_per_second"] > best["states_per_second"]:
-            best = point
-    return best
+    return repeat_cell(configured, REQUIREMENT, settings, reps)[0]
 
 
 def verify_cell(
@@ -151,26 +179,10 @@ def run_shard_cell(
         search_order="bfs", seed=1, reductions="none",
         shard_workers=shard_workers,
     )
-    best = None
-    for _ in range(max(1, reps)):
-        with Timer() as timer:
-            result = analyze_wcrt(configured, REQUIREMENT, settings)
-        stats = result.detail.statistics
-        point = {
-            "states_per_second": round(stats.states_per_second, 1),
-            "wcrt_ticks": result.wcrt_ticks,
-            "is_lower_bound": result.is_lower_bound,
-            "states_explored": stats.states_explored,
-            "states_stored": stats.states_stored,
-            "transitions": stats.transitions,
-            "explore_seconds": round(stats.elapsed_seconds, 4),
-            "wall_seconds": round(timer.seconds, 4),
-            "shard_workers": stats.shard_workers,
-            "shard_handoffs": stats.shard_handoffs,
-        }
-        if best is None or point["states_per_second"] > best["states_per_second"]:
-            best = point
-    return best
+    point, result = repeat_cell(configured, REQUIREMENT, settings, reps)
+    stats = result.detail.statistics
+    point.update(shard_workers=stats.shard_workers, shard_handoffs=stats.shard_handoffs)
+    return point
 
 
 #: the anchors a sharded run must reproduce bit-identically (strict
@@ -220,27 +232,13 @@ def run_guided_cell(
     base = TimedAutomataSettings(search_order="bfs", seed=1, method=method,
                                  reductions="none")
     settings = guided_settings(base, upper, lower)
-    best = None
-    for _ in range(max(1, reps)):
-        with Timer() as timer:
-            result = analyze_wcrt(configured, REQUIREMENT, settings)
-        stats = result.detail.statistics
-        point = {
-            "states_per_second": round(stats.states_per_second, 1),
-            "wcrt_ticks": result.wcrt_ticks,
-            "is_lower_bound": result.is_lower_bound,
-            "states_explored": stats.states_explored,
-            "states_stored": stats.states_stored,
-            "transitions": stats.transitions,
-            "explore_seconds": round(stats.elapsed_seconds, 4),
-            "wall_seconds": round(timer.seconds, 4),
-            "guided": True,
-            "analytic_upper_ticks": None if upper is None else upper.value_ticks,
-            "des_lower_ticks": None if lower is None else lower.value_ticks,
-        }
-        if best is None or point["states_per_second"] > best["states_per_second"]:
-            best = point
-    return best
+    point, _result = repeat_cell(configured, REQUIREMENT, settings, reps)
+    point.update(
+        guided=True,
+        analytic_upper_ticks=None if upper is None else upper.value_ticks,
+        des_lower_ticks=None if lower is None else lower.value_ticks,
+    )
+    return point
 
 
 def verify_guided_cell(name: str, guided: dict, unguided: dict) -> list[str]:
@@ -274,26 +272,9 @@ def run_reduced_cell(
     """
     settings = TimedAutomataSettings(search_order="bfs", seed=1,
                                      reductions=reductions)
-    best = None
-    for _ in range(max(1, reps)):
-        with Timer() as timer:
-            result = analyze_wcrt(configured, requirement, settings)
-        stats = result.detail.statistics
-        point = {
-            "states_per_second": round(stats.states_per_second, 1),
-            "wcrt_ticks": result.wcrt_ticks,
-            "is_lower_bound": result.is_lower_bound,
-            "states_explored": stats.states_explored,
-            "states_stored": stats.states_stored,
-            "transitions": stats.transitions,
-            "explore_seconds": round(stats.elapsed_seconds, 4),
-            "wall_seconds": round(timer.seconds, 4),
-            "reductions": reductions,
-            **stats.reduction_counters(),
-        }
-        if best is None or point["states_per_second"] > best["states_per_second"]:
-            best = point
-    return best
+    point, result = repeat_cell(configured, requirement, settings, reps)
+    point.update(reductions=reductions, **result.detail.statistics.reduction_counters())
+    return point
 
 
 def verify_reduced_cell(
@@ -343,7 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help="where to write the BENCH_core.json trajectory")
     parser.add_argument("--reps", type=int, default=2,
-                        help="repetitions per cell, best throughput wins (default 2)")
+                        help="repetitions per cell; a point records the median "
+                             "throughput and wall time with their min and max "
+                             "(default 2)")
     parser.add_argument("--quick", action="store_true",
                         help="run only the two smaller cells (smoke / PR-gate mode)")
     parser.add_argument("--check-min-states", type=int, default=1_000,
@@ -353,10 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes of the parallel sweep stage "
                              "(default 2; 1 skips the sweep)")
-    parser.add_argument("--shard-workers", default="2,4",
+    parser.add_argument("--shard-workers", default="2",
                         help="comma list of shard-worker counts for the "
                              "sharded-engine stage on the largest cell "
-                             "(default '2,4'; '0' or '' skips the stage)")
+                             "(default '2'; '0' or '' skips the stage)")
     parser.add_argument("--start-method", choices=("spawn", "fork", "forkserver"),
                         default="spawn", help="sweep start method (default spawn)")
     parser.add_argument("--update-baseline", action="store_true",
@@ -618,6 +601,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{sweep_point['sweep_states_per_second']:9.1f} states/s wall  "
             f"({sweep.workers} workers, {sweep.start_method})"
         )
+
+    for name, point in points.items():
+        if point.get("rep_drift"):
+            problems.append(f"{name}: {', '.join(point['rep_drift'])} differ across reps")
 
     if problems:
         print("CORRECTNESS MISMATCH against the seed baseline:")
