@@ -362,6 +362,8 @@ class _Partition:
         for group, size in zip(groups, sizes):
             raw[slot[offset:offset + size]] = group[4]
             offset += size
+        # each intermediate array is dropped as soon as the next one holds
+        # its rows: that keeps the round's peak memory down
         del groups, slot
 
         # per key: coverage on the raw rows against the pre-round
