@@ -901,8 +901,10 @@ class ShardedExplorer(Explorer):
         search: SearchOptions | None = None,
     ):
         super().__init__(network, semantics, search)
-        #: whole-exploration restarts after a worker crash (supervision
-        #: metadata, deliberately not part of ExplorationStatistics)
+        #: whole-exploration restarts after a worker crash, summed over
+        #: every exploration this explorer ran -- under a WCRT binary
+        #: search, over all of its probes (supervision metadata,
+        #: deliberately not part of ExplorationStatistics)
         self.restarts = 0
 
     def explore(self, visit=None, spec=None) -> ExplorationStatistics:

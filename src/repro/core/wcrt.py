@@ -114,6 +114,17 @@ def wcrt_binary_search(
     the largest ``C`` proven violated (or ``lo``), and the statistics carry
     the termination of the first probe that was cut short.
 
+    Every probe, the witness ``EF`` probe included, runs on one explorer
+    (:func:`~repro.core.shard.select_explorer`, called once per search).
+    Its successor generator therefore evaluates each discrete state's
+    firing plans, invariants and urgency once per search, not once per
+    probe.  Sharing it changes no verdict, trace or statistics counter: a
+    plan depends only on the network and the discrete key, and a probe's
+    clock constant (registered for that probe only) reaches the zones only
+    through extrapolation grids keyed by ``network.max_constants_version``.
+    Forked partitions build plans in their children, which exit after each
+    probe, so a sharded search still rebuilds them per probe.
+
     Interval soundness
     ------------------
     ``lo`` must be a value at which Property 1 is *known to fail* — i.e. a
@@ -134,10 +145,12 @@ def wcrt_binary_search(
 
     total_stats = ExplorationStatistics(search_order=(search.order if search else "bfs"))
     cut_short = None  # termination of the first exploration a budget stopped
+    # one explorer for every probe, so its discrete memo carries over
+    explorer = select_explorer(network, semantics, search)
 
     def check(query):
         nonlocal cut_short
-        outcome = select_explorer(network, semantics, search).check(query)
+        outcome = explorer.check(query)
         total_stats.merge(outcome.statistics)
         if outcome.holds is None and cut_short is None:
             cut_short = outcome.statistics.termination

@@ -157,9 +157,7 @@ def _matched_plans(generator: SuccessorGenerator, trace: Trace) -> list:
     for k in range(1, len(trace.steps)):
         parent = trace.steps[k - 1].state
         child = trace.steps[k]
-        info = generator._discrete_info(parent.locations, parent.variables)
-        if info.plans is None:
-            generator._build_plans(info, parent.locations, parent.variables)
+        info = generator.plan_info(parent.locations, parent.variables)
         key = child.state.discrete_bytes()
         candidates = [
             i for i, plan in enumerate(info.plans)

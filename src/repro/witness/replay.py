@@ -105,8 +105,7 @@ def check_steps(network: CompiledNetwork, run: ConcreteRun) -> StepCheckReport:
                 report.problems.append(f"{prefix}: invariant violated after the delay")
                 break
 
-        if info.plans is None:
-            generator._build_plans(info, locations, variables)
+        info = generator.plan_info(locations, variables)
         wanted_edges = tuple(tuple(edge) for edge in step.edges)
         wanted_resets = tuple(tuple(pair) for pair in step.resets)
         candidates = []

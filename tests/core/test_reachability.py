@@ -1,5 +1,7 @@
 """Tests of the reachability engine, queries and WCRT extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.core import (
     wcrt_binary_search,
     wcrt_sup,
 )
+from repro.core import wcrt as wcrt_module
 from repro.core.properties import BoundFormula, ClockProp, parse_atom
+from repro.core.successors import SuccessorGenerator
 from repro.util.errors import AnalysisError, ModelError
 
 
@@ -204,6 +208,62 @@ class TestSupAndWCRT:
         by_sup = wcrt_sup(compiled, "obs.y", LocationProp("obs", "seen"), ceiling=64)
         by_search = wcrt_binary_search(compiled, "obs.y", LocationProp("obs", "seen"), lo=0, hi=64)
         assert by_sup.value == by_search.value == 7
+
+    @staticmethod
+    def _search(record_traces):
+        return wcrt_binary_search(
+            _request_response_network(delay=7), "obs.y", LocationProp("obs", "seen"),
+            lo=0, hi=64, search=SearchOptions(record_traces=record_traces),
+        )
+
+    @pytest.mark.parametrize("record_traces", [False, True])
+    def test_wcrt_binary_search_builds_each_plan_list_once(self, monkeypatch, record_traces):
+        """Every probe, the witness probe included, shares one explorer and
+        hence one discrete memo: no key's plans are built twice."""
+        built = []
+        build_plans = SuccessorGenerator._build_plans
+
+        def counting(generator, info, locations, variables):
+            built.append((locations, variables))
+            return build_plans(generator, info, locations, variables)
+
+        monkeypatch.setattr(SuccessorGenerator, "_build_plans", counting)
+        assert self._search(record_traces).value == 7
+        assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize("record_traces", [False, True])
+    def test_wcrt_binary_search_matches_an_explorer_per_probe(self, monkeypatch, record_traces):
+        """The shared explorer changes nothing a fresh explorer per probe
+        would report: value, flags, merged statistics and the witness."""
+
+        def outcome(result):
+            stats = result.statistics
+            trace = result.trace and [
+                (str(step.label), step.state.discrete_key(), step.state.zone.key())
+                for step in result.trace.steps
+            ]
+            return (result.value, result.is_lower_bound, result.attained, trace, {
+                f.name: getattr(stats, f.name)
+                for f in dataclasses.fields(stats)
+                if f.compare and f.name != "elapsed_seconds"
+            })
+
+        shared = outcome(self._search(record_traces))
+        queries = []
+
+        class FreshPerQuery:
+            def __init__(self, network, semantics=None, search=None):
+                self.args = (network, semantics, search)
+
+            def check(self, query):
+                queries.append(query)
+                return Explorer(*self.args).check(query)
+
+        monkeypatch.setattr(wcrt_module, "select_explorer", FreshPerQuery)
+        assert outcome(self._search(record_traces)) == shared
+        # the probe at hi, six halvings of (0, 64], and the witness probe
+        assert len(queries) == (8 if record_traces else 7)
+        assert (shared[3] is not None) == record_traces
 
     def test_wcrt_binary_search_interval_too_small(self):
         compiled = _request_response_network(delay=9)

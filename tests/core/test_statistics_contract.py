@@ -301,13 +301,14 @@ def test_other_networks_count_identically(engine, network):
 
 
 @functools.lru_cache(maxsize=None)
-def _replicated(engine, reductions):
+def _replicated(engine, reductions, method="sup"):
     from repro.arch.analysis import TimedAutomataSettings, analyze_wcrt
     from repro.casestudy import REPLICATED_REQUIREMENT, build_replicated_load
     from repro.core import wcrt
 
     settings = TimedAutomataSettings(
-        reductions=reductions, shard_workers=2 if engine == "forked-2" else 0
+        method=method, reductions=reductions,
+        shard_workers=2 if engine == "forked-2" else 0,
     )
     original = wcrt.select_explorer
     if engine == "scalar":
@@ -328,6 +329,20 @@ def test_replicated_showcase_matches_the_scalar_oracle(engine, reductions):
     assert observed == _replicated("scalar", reductions)
     folded = observed[1]["keys_folded"]
     assert folded == (1881 if reductions in ("symmetry", "all") else 0)
+
+
+@pytest.mark.parametrize("reductions", REDUCTIONS)
+@pytest.mark.parametrize("engine", [
+    "in-process", pytest.param("forked-2", marks=forks),
+])
+def test_replicated_binary_search_matches_the_scalar_oracle(engine, reductions):
+    """Property 1's binary search: one explorer serves every probe, in
+    every engine, and the merged statistics match probe for probe."""
+    observed = _replicated(engine, reductions, "binary-search")
+    assert observed == _replicated("scalar", reductions, "binary-search")
+    assert observed[0] == _replicated("scalar", reductions)[0]
+    folded = observed[1]["keys_folded"]
+    assert folded == (5658 if reductions in ("symmetry", "all") else 0)
 
 
 # ------------------------------------------------------------ deadlines
