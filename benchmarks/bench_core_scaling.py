@@ -48,9 +48,12 @@ import sys
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(_HERE, "..", "src")
-if os.path.abspath(_SRC) not in [os.path.abspath(p) for p in sys.path]:
-    sys.path.insert(0, os.path.abspath(_SRC))
+_ROOT = os.path.join(_HERE, "..")  # for perfbench's calibration kernel
+for _path in (_SRC, _ROOT):
+    if os.path.abspath(_path) not in [os.path.abspath(p) for p in sys.path]:
+        sys.path.insert(0, os.path.abspath(_path))
 
+from perfbench.calibration import REFERENCE_S, kernel_seconds  # noqa: E402
 from repro.arch import TimedAutomataSettings, analyze_wcrt  # noqa: E402
 from repro.casestudy import build_radio_navigation, configure  # noqa: E402
 from repro.core import kernels  # noqa: E402
@@ -102,12 +105,20 @@ def repeat_cell(configured, requirement: str, settings, reps: int) -> tuple[dict
 
     ``states_per_second`` and ``wall_seconds`` are the medians across the
     reps, with their extremes as ``*_min`` and ``*_max``; ``explore_seconds``
-    is the median exploration time.  Every rep must reproduce the anchors
-    of the first exactly: anchors that differ are listed under
-    ``rep_drift``, which fails the run like an anchor mismatch.
+    is the median exploration time.  Before each rep the machine speed is
+    sampled with the benchmark's calibration kernel
+    (``perfbench/calibration.py``): ``calibration_s`` is the median sample,
+    and ``states_per_second_ref`` (with its ``*_min``/``*_max``) the
+    median of each rep's rate in states per *reference* second, its raw rate
+    times ``sample / REFERENCE_S`` -- a host running at half speed halves
+    both the rate and the sample.  The ``--check`` gate reads the raw
+    median.  Every rep must reproduce the anchors of the first exactly:
+    anchors that differ are listed under ``rep_drift``, which fails the run
+    like an anchor mismatch.
     """
-    results, walls = [], []
+    results, walls, samples = [], [], []
     for _ in range(max(1, reps)):
+        samples.append(kernel_seconds())
         with Timer() as timer:
             results.append(analyze_wcrt(configured, requirement, settings))
         walls.append(timer.seconds)
@@ -120,10 +131,14 @@ def repeat_cell(configured, requirement: str, settings, reps: int) -> tuple[dict
     if drift:
         point["rep_drift"] = drift
     rates = [result.detail.statistics.states_per_second for result in results]
-    for name, values, digits in (("states_per_second", rates, 1), ("wall_seconds", walls, 4)):
+    calibrated = [rate * sample / REFERENCE_S for rate, sample in zip(rates, samples)]
+    for name, values, digits in (("states_per_second", rates, 1),
+                                 ("states_per_second_ref", calibrated, 1),
+                                 ("wall_seconds", walls, 4)):
         point[name] = round(statistics.median(values), digits)
         point[f"{name}_min"] = round(min(values), digits)
         point[f"{name}_max"] = round(max(values), digits)
+    point["calibration_s"] = round(statistics.median(samples), 5)
     point["explore_seconds"] = round(statistics.median(
         result.detail.statistics.elapsed_seconds for result in results), 4)
     return point, results[0]

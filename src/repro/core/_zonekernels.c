@@ -27,6 +27,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define INFINITY_RAW ((int64_t)1 << 40)
 #define LE_ZERO ((int64_t)1)
@@ -128,6 +129,38 @@ static void constrain_layer(int64_t *m, long dim, long i, long j, int64_t raw)
     }
 }
 
+/* True when every (i, j) of the `n` rows of `stride` values lies in the matrix. */
+static int valid_rows(const int64_t *rows, long n, long stride, long dim)
+{
+    for (long r = 0; r < n; r++) {
+        int64_t i = rows[stride * r], j = rows[stride * r + 1];
+        if (i < 0 || i >= dim || j < 0 || j >= dim)
+            return 0;
+    }
+    return 1;
+}
+
+/* True when every clock of the `n` (clock, value) pairs is one of 1..dim-1. */
+static int valid_clocks(const int64_t *pairs, long n, long dim)
+{
+    for (long p = 0; p < n; p++) {
+        if (pairs[2 * p] < 1 || pairs[2 * p] >= dim)
+            return 0;
+    }
+    return 1;
+}
+
+/*
+ * Add the `n` constraint rows (i, j, raw) in order to one closed layer,
+ * stopping at the one that empties it; returns whether it stays non-empty.
+ */
+static int constrain_rows_layer(int64_t *m, long dim, const int64_t *rows, long n)
+{
+    for (long r = 0; r < n && !is_empty(m); r++)
+        constrain_layer(m, dim, rows[3 * r], rows[3 * r + 1], rows[3 * r + 2]);
+    return !is_empty(m);
+}
+
 /*
  * Add the constraints x_i - x_j (raw), given as `n` rows (i, j, raw), in
  * order to every closed layer; a layer stops at the constraint that
@@ -135,126 +168,112 @@ static void constrain_layer(int64_t *m, long dim, long i, long j, int64_t raw)
  */
 int zk_constrain(int64_t *a, int count, int dim, const int64_t *rows, int n)
 {
-    for (int r = 0; r < n; r++) {
-        int64_t i = rows[3 * r], j = rows[3 * r + 1];
-        if (i < 0 || i >= dim || j < 0 || j >= dim)
-            return -1;
-    }
+    if (!valid_rows(rows, n, 3, dim))
+        return -1;
     long size = (long)dim * dim;
-    for (long layer = 0; layer < count; layer++) {
-        int64_t *m = a + layer * size;
-        for (int r = 0; r < n && !is_empty(m); r++)
-            constrain_layer(m, dim, rows[3 * r], rows[3 * r + 1], rows[3 * r + 2]);
-    }
+    for (long layer = 0; layer < count; layer++)
+        constrain_rows_layer(a + layer * size, dim, rows, n);
     return live_layers(a, count, size);
 }
 
 /*
- * Tighten the upper bounds x_c <= raw_c of several clocks (c >= 1) at once
- * on every closed layer.  Every new edge ends in the reference clock, so
- * new[x][y] = min(old[x][y], min_c(old[x][c] (+) raw_c) (+) old[0][y]) is
- * the exact closure; a pair that closes a negative cycle with the stored
+ * Tighten the upper bounds x_i <= raw among the `n` constraint rows
+ * (i, j, raw) -- the rows with j == 0 and i >= 1; the others are skipped --
+ * on one closed layer at once; returns whether it stays non-empty.  Every
+ * new edge ends in the reference clock, so
+ * new[x][y] = min(old[x][y], min_i(old[x][i] (+) raw_i) (+) old[0][y]) is
+ * the exact closure; a bound that closes a negative cycle with the stored
  * lower bound empties the layer.  Row 0 is a fixed point of the update.
  */
-int zk_impose_upper_bounds(int64_t *a, int count, int dim,
-                           const int64_t *clocks, const int64_t *raws, int pairs)
+static int impose_upper_bounds_layer(int64_t *m, long dim, const int64_t *rows, long n)
 {
-    for (int p = 0; p < pairs; p++) {
-        if (clocks[p] < 1 || clocks[p] >= dim)
-            return -1;
-    }
-    long size = (long)dim * dim;
-    for (long layer = 0; layer < count; layer++) {
-        int64_t *m = a + layer * size;
-        if (is_empty(m))
+    for (long r = 0; r < n; r++) {
+        if (rows[3 * r + 1] != 0)
             continue;
-        int bad = 0;
-        for (int p = 0; p < pairs && !bad; p++) {
-            int64_t lower = m[clocks[p]];
-            bad = lower < INFINITY_RAW && add_raw(lower, raws[p]) < LE_ZERO;
-        }
-        if (bad) {
+        int64_t lower = m[rows[3 * r]];
+        if (lower < INFINITY_RAW && add_raw(lower, rows[3 * r + 2]) < LE_ZERO) {
             m[0] = EMPTY_RAW;
-            continue;
-        }
-        const int64_t *row_0 = m;
-        for (long x = 0; x < dim; x++) {
-            int64_t *row_x = m + x * dim;
-            int64_t via = INFINITY_RAW;
-            for (int p = 0; p < pairs; p++) {
-                int64_t d_xc = row_x[clocks[p]];
-                if (d_xc < INFINITY_RAW) {
-                    int64_t candidate = add_raw(d_xc, raws[p]);
-                    if (candidate < via)
-                        via = candidate;
-                }
-            }
-            if (via >= INFINITY_RAW)
-                continue;
-            for (long y = 0; y < dim; y++) {
-                if (row_0[y] >= INFINITY_RAW)
-                    continue;
-                int64_t candidate = add_raw(via, row_0[y]);
-                if (candidate < row_x[y])
-                    row_x[y] = candidate;
-            }
+            return 0;
         }
     }
-    return live_layers(a, count, size);
+    const int64_t *row_0 = m;
+    for (long x = 0; x < dim; x++) {
+        int64_t *row_x = m + x * dim;
+        int64_t via = INFINITY_RAW;
+        for (long r = 0; r < n; r++) {
+            if (rows[3 * r + 1] != 0)
+                continue;
+            int64_t d_xc = row_x[rows[3 * r]];
+            if (d_xc < INFINITY_RAW) {
+                int64_t candidate = add_raw(d_xc, rows[3 * r + 2]);
+                if (candidate < via)
+                    via = candidate;
+            }
+        }
+        if (via >= INFINITY_RAW)
+            continue;
+        for (long y = 0; y < dim; y++) {
+            if (row_0[y] >= INFINITY_RAW)
+                continue;
+            int64_t candidate = add_raw(via, row_0[y]);
+            if (candidate < row_x[y])
+                row_x[y] = candidate;
+        }
+    }
+    return 1;
 }
 
 /*
- * Reset clock := value (clock >= 1) on every closed layer.  The new row
+ * Reset clock := value (clock >= 1) on one closed layer.  The new row
  * reads row 0 and the new column reads column 0; writing the row first
  * leaves column 0 intact except at (clock, 0), whose column entry the
  * diagonal overwrites.
  */
-int zk_reset(int64_t *a, int count, int dim, int clock, int64_t value)
+static void reset_layer(int64_t *m, long dim, long clock, int64_t value)
 {
-    if (clock < 1 || clock >= dim)
-        return -1;
     int64_t pos = 2 * value + 1, neg = -2 * value + 1;
-    long size = (long)dim * dim;
-    for (long layer = 0; layer < count; layer++) {
-        int64_t *m = a + layer * size;
-        int64_t *row_c = m + (long)clock * dim;
-        for (long y = 0; y < dim; y++)
-            row_c[y] = m[y] < INFINITY_RAW ? add_raw(pos, m[y]) : INFINITY_RAW;
-        for (long x = 0; x < dim; x++) {
-            int64_t d_x0 = m[x * dim];
-            m[x * dim + clock] = d_x0 < INFINITY_RAW ? add_raw(d_x0, neg) : INFINITY_RAW;
-        }
-        row_c[clock] = LE_ZERO;
+    int64_t *row_c = m + clock * dim;
+    for (long y = 0; y < dim; y++)
+        row_c[y] = m[y] < INFINITY_RAW ? add_raw(pos, m[y]) : INFINITY_RAW;
+    for (long x = 0; x < dim; x++) {
+        int64_t d_x0 = m[x * dim];
+        m[x * dim + clock] = d_x0 < INFINITY_RAW ? add_raw(d_x0, neg) : INFINITY_RAW;
     }
-    return live_layers(a, count, size);
+    row_c[clock] = LE_ZERO;
 }
 
 /*
- * Extrapolate every layer against the raw threshold grids: an entry below
+ * Extrapolate one layer against the raw threshold grids: an entry below
  * its lower-grid value is relaxed to it, otherwise a finite entry above its
- * upper-grid value becomes infinite.  Only the layers that changed are
- * closed again.
+ * upper-grid value becomes infinite.  The layer is closed again only when
+ * it changed.
  */
+static void extrapolate_layer(int64_t *m, long dim, const int64_t *upper_grid,
+                              const int64_t *lower_grid)
+{
+    long size = dim * dim;
+    int changed = 0;
+    for (long e = 0; e < size; e++) {
+        int64_t value = m[e];
+        if (value < lower_grid[e]) {
+            m[e] = lower_grid[e];
+            changed = 1;
+        } else if (value > upper_grid[e] && value < INFINITY_RAW) {
+            m[e] = INFINITY_RAW;
+            changed = 1;
+        }
+    }
+    if (changed)
+        close_layer(m, dim);
+}
+
+/* Extrapolate every layer of the stack (extrapolate_layer). */
 int zk_extrapolate(int64_t *a, int count, int dim,
                    const int64_t *upper_grid, const int64_t *lower_grid)
 {
     long size = (long)dim * dim;
-    for (long layer = 0; layer < count; layer++) {
-        int64_t *m = a + layer * size;
-        int changed = 0;
-        for (long e = 0; e < size; e++) {
-            int64_t value = m[e];
-            if (value < lower_grid[e]) {
-                m[e] = lower_grid[e];
-                changed = 1;
-            } else if (value > upper_grid[e] && value < INFINITY_RAW) {
-                m[e] = INFINITY_RAW;
-                changed = 1;
-            }
-        }
-        if (changed)
-            close_layer(m, dim);
-    }
+    for (long layer = 0; layer < count; layer++)
+        extrapolate_layer(a + layer * size, dim, upper_grid, lower_grid);
     return live_layers(a, count, size);
 }
 
@@ -289,20 +308,201 @@ int zk_covers(const int64_t *members, int n, const int64_t *candidates, int k,
 }
 
 /*
- * out[r] = row r is included in some other row: an earlier one, or with
- * `later` set a later one.  Returns how many rows are.
+ * Firing programs
+ * ---------------
+ * A program lists the plans of one discrete key as int64 values: the plan
+ * count, then per plan a header (flags, guards, resets, invariants)
+ * followed by the guards (i, j, raw), the resets (clock, value) and the
+ * target's invariants (i, j, raw).  A plan flagged FIRE_ERROR has a
+ * deferred evaluation error: it reports the layers whose guards pass and
+ * nothing else.  FIRE_DELAY lets time pass in the target: up, then the
+ * invariants again, the upper bounds (j == 0) in one exact re-closure and
+ * the others by rank-1 constrain (on which the re-imposed upper bounds are
+ * no-ops).
  */
-int zk_covered_by_other(const int64_t *rows, int k, int width, int later, uint8_t *out)
+#define FIRE_ERROR 1
+#define FIRE_DELAY 2
+#define PLAN_HEADER 4
+
+/*
+ * The number of plans of a well-formed program whose clock indices all lie
+ * in the matrix (and no invariant bounds x_0 - x_0), or -1.
+ */
+static long check_program(const int64_t *program, long length, long dim)
 {
-    int covered = 0;
-    for (long r = 0; r < k; r++) {
-        const int64_t *z = rows + r * width;
-        long start = later ? r + 1 : 0, stop = later ? k : r;
-        int hit = 0;
-        for (long s = start; s < stop && !hit; s++)
-            hit = included(z, rows + s * width, width);
-        covered += hit;
-        out[r] = (uint8_t)hit;
+    if (length < 1 || program[0] < 0 || program[0] > length)
+        return -1;
+    long plans = (long)program[0], at = 1;
+    for (long p = 0; p < plans; p++) {
+        if (at + PLAN_HEADER > length)
+            return -1;
+        const int64_t *h = program + at;
+        for (int k = 1; k < PLAN_HEADER; k++) {
+            if (h[k] < 0 || h[k] > length)
+                return -1;
+        }
+        long body = 3 * h[1] + 2 * h[2] + 3 * h[3];
+        if (at + PLAN_HEADER + body > length)
+            return -1;
+        const int64_t *guards = h + PLAN_HEADER, *resets = guards + 3 * h[1];
+        const int64_t *invariants = resets + 2 * h[2];
+        if (!valid_rows(guards, h[1], 3, dim) || !valid_clocks(resets, h[2], dim)
+            || !valid_rows(invariants, h[3], 3, dim))
+            return -1;
+        for (long r = 0; r < h[3]; r++) {
+            if (invariants[3 * r] == 0 && invariants[3 * r + 1] == 0)
+                return -1;
+        }
+        at += PLAN_HEADER + body;
     }
-    return covered;
+    return at == length ? plans : -1;
+}
+
+/*
+ * Fire every plan of `program` against the `count` closed layers of
+ * `source` (empty layers fire nothing).  Per plan, in order, each layer is
+ * copied to the next free row of `out`, constrained by the guards, reset,
+ * constrained by the target's invariants and, under FIRE_DELAY, delayed: up
+ * drops every upper bound and the invariants come back.  A row that stays
+ * non-empty is kept, with its source layer in `nodes`; an emptied one is
+ * overwritten by the next attempt, so only live rows are written.
+ * `counts[p]` is the number of rows plan p kept, and the rows are grouped
+ * by plan in program order.  Returns the number of rows written, or -1
+ * (before writing anything) for a malformed program, a clock index outside
+ * the matrix, or fewer than count * plans rows of capacity.
+ */
+int zk_fire(const int64_t *source, int count, int dim, const int64_t *program, int length,
+            int64_t *out, int capacity, int64_t *nodes, int64_t *counts)
+{
+    long plans = check_program(program, length, dim);
+    if (plans < 0 || (long)count * plans > capacity)
+        return -1;
+    long size = (long)dim * dim, written = 0, at = 1;
+    for (long p = 0; p < plans; p++) {
+        const int64_t *h = program + at;
+        const int64_t *guards = h + PLAN_HEADER, *resets = guards + 3 * h[1];
+        const int64_t *invariants = resets + 2 * h[2];
+        at += PLAN_HEADER + 3 * h[1] + 2 * h[2] + 3 * h[3];
+        long first = written;
+        for (long layer = 0; layer < count; layer++) {
+            const int64_t *z = source + layer * size;
+            if (is_empty(z))
+                continue;
+            int64_t *m = out + written * size;
+            memcpy(m, z, size * sizeof(int64_t));
+            if (!constrain_rows_layer(m, dim, guards, h[1]))
+                continue;
+            if (!(h[0] & FIRE_ERROR)) {
+                for (long r = 0; r < h[2]; r++)
+                    reset_layer(m, dim, resets[2 * r], resets[2 * r + 1]);
+                if (!constrain_rows_layer(m, dim, invariants, h[3]))
+                    continue;
+                if (h[0] & FIRE_DELAY) {
+                    for (long x = 1; x < dim; x++)
+                        m[x * dim] = INFINITY_RAW;
+                    if (!impose_upper_bounds_layer(m, dim, invariants, h[3])
+                        || !constrain_rows_layer(m, dim, invariants, h[3]))
+                        continue;
+                }
+            }
+            nodes[written++] = layer;
+        }
+        counts[p] = written - first;
+    }
+    return (int)written;
+}
+
+/*
+ * Clear keep[r] of every kept row r of [start, stop) that is included in
+ * an earlier kept row: the scalar store-then-recheck discipline within one
+ * key of one round.  A row included in a dropped row is also included in
+ * whatever kept row dropped that one, so comparing against kept rows only
+ * gives the same verdicts.
+ */
+static void screen(const int64_t *rows, long start, long stop, long width, uint8_t *keep)
+{
+    for (long r = start; r < stop; r++) {
+        if (!keep[r])
+            continue;
+        const int64_t *z = rows + r * width;
+        for (long s = start; s < r; s++) {
+            if (keep[s] && included(z, rows + s * width, width)) {
+                keep[r] = 0;
+                break;
+            }
+        }
+    }
+}
+
+/*
+ * One decide round of the layered core.  `rows` holds the round's
+ * candidates grouped by key, each key's run [bounds[2k], bounds[2k + 1]) in
+ * tag order; `members[k]` points to the `member_counts[k]` rows of that
+ * key's passed federation (NULL when there are none).  Per key: a
+ * candidate included in some member is dropped (coverage), then one
+ * included in an earlier surviving candidate (the raw screen); the
+ * survivors are extrapolated in place unless `upper_grid` is NULL, and
+ * screened again.  `stored` flags the candidates left.  The flush's masks
+ * follow: `doomed_rows[r]` flags a stored row included in a later stored
+ * row of its key, and `doomed_members[o_k + m]` member m of key k that some
+ * stored row includes (o_k: the member counts of the keys before k).
+ * Members are only read.  Returns the number of stored candidates, or -1
+ * (before writing anything) when the runs are not ordered within the rows.
+ */
+int zk_decide(int64_t *rows, int total, int dim, const int64_t *bounds, int runs,
+              const int64_t *const *members, const int64_t *member_counts,
+              const int64_t *upper_grid, const int64_t *lower_grid,
+              uint8_t *stored, uint8_t *doomed_rows, uint8_t *doomed_members)
+{
+    long previous = 0;
+    for (long k = 0; k < runs; k++) {
+        if (bounds[2 * k] < previous || bounds[2 * k + 1] < bounds[2 * k]
+            || bounds[2 * k + 1] > total || member_counts[k] < 0
+            || (member_counts[k] && !members[k]))
+            return -1;
+        previous = bounds[2 * k + 1];
+    }
+    long width = (long)dim * dim, kept = 0;
+    uint8_t *doomed = doomed_members;
+    for (long k = 0; k < runs; k++) {
+        long start = bounds[2 * k], stop = bounds[2 * k + 1], n = member_counts[k];
+        const int64_t *fed = members[k];
+        for (long r = start; r < stop; r++) {
+            const int64_t *z = rows + r * width;
+            int hit = 0;
+            for (long m = 0; m < n && !hit; m++)
+                hit = included(z, fed + m * width, width);
+            stored[r] = (uint8_t)!hit;
+            doomed_rows[r] = 0;
+        }
+        screen(rows, start, stop, width, stored);
+        if (upper_grid) {
+            for (long r = start; r < stop; r++) {
+                if (stored[r])
+                    extrapolate_layer(rows + r * width, dim, upper_grid, lower_grid);
+            }
+            screen(rows, start, stop, width, stored);
+        }
+        for (long m = 0; m < n; m++) {
+            const int64_t *w = fed + m * width;
+            int hit = 0;
+            for (long r = start; r < stop && !hit; r++)
+                hit = stored[r] && included(w, rows + r * width, width);
+            doomed[m] = (uint8_t)hit;
+        }
+        doomed += n;
+        for (long r = start; r < stop; r++) {
+            if (!stored[r])
+                continue;
+            kept++;
+            const int64_t *z = rows + r * width;
+            for (long s = r + 1; s < stop; s++) {
+                if (stored[s] && included(z, rows + s * width, width)) {
+                    doomed_rows[r] = 1;
+                    break;
+                }
+            }
+        }
+    }
+    return (int)kept;
 }

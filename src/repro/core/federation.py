@@ -17,10 +17,13 @@ re-stacked the whole array on every insert, i.e. ``O(N^2)``).  The
 ``stack_copies`` counter records the row copies actually performed; the test
 suite uses it to pin down the amortised bound.
 
-The inclusion checks -- the passed-list check, the hottest operation of the
-reachability engine, and the eviction of members a new zone covers -- are
-the ``covers``, ``covers_many`` and ``evict_masks`` kernels of
-:mod:`repro.core.kernels`, each one call against all stored zones at once.
+The inclusion checks -- the passed-list check of the scalar loop and the
+eviction of members a new zone covers -- are the ``covers`` and
+``covers_many`` kernels of :mod:`repro.core.kernels`, each one call against
+all stored zones at once.  The layered core reads :attr:`Federation.members`
+into its round kernel (``kernels.decide``) and flushes each key's stored
+rows with the eviction masks that kernel returns
+(:meth:`Federation.add_many_uncovered`).
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ class Federation:
         return self._n > 0
 
     @property
+    def members(self) -> np.ndarray:
+        """The member zones' raw rows, ``(len(self), dim * dim)``: a view of
+        the stack, valid until the federation next changes."""
+        return self._buf[: self._n]
+
+    @property
     def zones(self) -> tuple[DBM, ...]:
         """Copies of the member zones, in stack order."""
         return tuple(DBM(self.dim, raw=row) for row in self._buf[: self._n])
@@ -98,41 +107,38 @@ class Federation:
             self._evict_covered(kernels.covers_many(candidate[None, :], self._buf[: self._n]))
         self._append(candidate)
 
-    def add_many_uncovered(self, stack: np.ndarray) -> None:
-        """Batched :meth:`add_uncovered` for a run of pre-screened zones.
+    def add_many_uncovered(
+        self, stack: np.ndarray, doomed_members: np.ndarray, doomed: np.ndarray
+    ) -> None:
+        """Flush a run of pre-screened zones with their eviction masks.
 
         ``stack`` holds one raw-bound matrix per zone, shaped like the
-        argument of :meth:`covers_many`.  Semantically identical to calling
-        ``add_uncovered`` on each zone in order: the caller certifies (as
-        for :meth:`add_uncovered`) that each zone was non-empty and not
-        covered by any member present *at its turn* -- including the
-        earlier zones of the batch.  Eviction is collapsed into one pass:
-        previously stored members covered by any batch zone are dropped,
-        and a batch zone covered by a *later* batch zone is dropped before
-        insertion (exactly the members sequential adds would have evicted;
-        relative order is preserved on both sides).
+        argument of :meth:`covers_many`; the caller certifies (as for
+        :meth:`add_uncovered`) that each zone was non-empty and not covered
+        by any member present *at its turn* -- including the earlier zones
+        of the batch.  ``doomed_members`` flags the members some batch zone
+        includes and ``doomed`` the batch zones a *later* batch zone
+        includes: the masks ``kernels.decide`` returns for the run.  The
+        flagged members are dropped and the unflagged zones appended --
+        exactly what calling ``add_uncovered`` on each zone in order would
+        leave, in the same relative order on both sides.
 
-        Used by the decide step of the layered core, which screens a round's
-        candidates with :meth:`covers_many` + within-round screens and then
-        flushes each target federation once with the stored rows.
+        The flush of the layered core's decide step, once per key and
+        round.
         """
         if not len(stack):
             return
         rows = stack.reshape(len(stack), -1)  # (k, dim * dim)
         if rows.shape[1] != self.dim * self.dim:
             raise ModelError("stack dimension does not match federation dimension")
-        if len(rows) == 1:
-            self._append_uncovered(rows[0])
-            return
-        # previously stored members covered by any batch zone, and batch
-        # zones covered by a *later* batch zone (earlier zones cannot cover
-        # later ones -- the caller screened)
-        doomed_members, doomed = kernels.evict_masks(self._buf[: self._n], rows)
+        if len(doomed_members) != self._n or len(doomed) != len(rows):
+            raise ModelError("eviction masks do not match the federation and the batch")
         self._evict_covered(doomed_members)
-        kept = rows[~doomed]
-        self._grow(self._n + len(kept))
-        self._buf[self._n : self._n + len(kept)] = kept
-        self._n += len(kept)
+        if doomed.any():
+            rows = rows[~doomed]
+        self._grow(self._n + len(rows))
+        self._buf[self._n : self._n + len(rows)] = rows
+        self._n += len(rows)
 
     def _evict_covered(self, covered: np.ndarray) -> None:
         """Drop the stored zones flagged in the boolean row mask *covered*."""

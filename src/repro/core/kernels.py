@@ -1,9 +1,6 @@
 """Zone kernels: one C source compiled on first import, or its numpy twins.
 
-Every zone operation the engine runs in a loop -- rank-1 ``constrain``,
-``impose_upper_bounds``, ``reset``, extrapolation with its re-closure, zone
-inclusion against a federation, the within-round screen of the layered core
-and the eviction masks of a federation flush -- is bound here once, at
+Every zone operation the engine runs in a loop is bound here once, at
 import, to one of two backends:
 
 * **compiled**: the functions of ``_zonekernels.c`` (next to this module),
@@ -12,17 +9,31 @@ import, to one of two backends:
 * **numpy**: the vectorised numpy bodies below, used when there is no
   compiler or the build or load fails.
 
-Every zone kernel takes a ``(count, dim, dim)`` int64 array of zones -- a
-single zone is a stack of one -- and ``constrain_stack``,
-``impose_upper_bounds_stack`` and ``reset_stack`` return how many layers
-are live afterwards.  The successor generator
-(:mod:`repro.core.successors`), :meth:`~repro.core.dbm.DBM.constrain`,
-:class:`~repro.core.federation.Federation` and the decide step of
-:mod:`repro.core.shard` call the names bound here and never ask which
-backend is in effect; both produce bit-identical zones and verdicts.
-:data:`BACKEND` says which one runs: ``"compiled"``, or ``"numpy: <reason>"``
-after a fallback.  Nothing selects the backend but the availability of a
-working compiler.
+The engine's hot path is two calls:
+
+* :func:`fire` runs every plan of one discrete key -- guards, resets, the
+  target's invariants and the delay -- against a ``(count, dim, dim)``
+  int64 block of zones in one call.  The plans come as a packed int64
+  *firing program* (:func:`plan_record`, :func:`firing_program`), built once
+  per key next to its plans.  Only live rows are written, into caller-owned
+  storage.
+* :func:`decide` runs one round of the layered core's store discipline over
+  the round's key-grouped candidate rows in one call: per key the coverage
+  check against the passed federation, the within-round screen on the raw
+  rows, extrapolation of the survivors, the screen again, and the two
+  eviction masks of the federation flush.
+
+The other names serve single zones and queries: rank-1 ``constrain_stack``
+(:meth:`~repro.core.dbm.DBM.constrain`, the clock half of a query),
+``extrapolate_stack`` (the scalar loop's store, the initial state and the
+witness replay) and the federation inclusion checks ``covers`` and
+``covers_many``.  The successor generator (:mod:`repro.core.successors`),
+:class:`~repro.core.dbm.DBM`, :class:`~repro.core.federation.Federation` and
+the decide step of :mod:`repro.core.shard` call the names bound here and
+never ask which backend is in effect; both produce bit-identical zones and
+verdicts.  :data:`BACKEND` says which one runs: ``"compiled"``, or
+``"numpy: <reason>"`` after a fallback.  Nothing selects the backend but
+the availability of a working compiler.
 
 The cache
 ---------
@@ -41,19 +52,23 @@ build writes temporary files and moves them into place with
 Argument checks
 ---------------
 The compiled wrappers accept C-contiguous ``int64`` arrays of matching
-shapes, and constraint rows packed by :func:`constraint_rows`, only; they
-raise :class:`~repro.util.errors.ModelError` otherwise, before any pointer
+shapes -- every member buffer :func:`decide` reads included -- and
+constraint rows packed by :func:`constraint_rows`, only; they raise
+:class:`~repro.util.errors.ModelError` otherwise, before any pointer
 reaches C.  The C functions themselves reject clock indices outside the
-matrix.
+matrix, a malformed firing program and runs outside the rows, before they
+write anything.  C never writes a federation's member rows.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import platform
 import shutil
 import stat
+import struct
 import tempfile
 import zlib
 from array import array
@@ -62,7 +77,16 @@ import numpy as np
 
 from repro.util.errors import ModelError
 
-__all__ = ["BACKEND", "COMPILED_KERNELS", "NUMPY_KERNELS", "constraint_rows"]
+__all__ = [
+    "BACKEND",
+    "COMPILED_KERNELS",
+    "NUMPY_KERNELS",
+    "constraint_rows",
+    "firing_program",
+    "plan_record",
+    "program_plans",
+    "subset_program",
+]
 
 # A raw value larger than any bound that can arise from model constants.
 # Model constants in this library are micro-seconds up to a few seconds
@@ -90,11 +114,99 @@ def constraint_rows(triples) -> bytes:
     """Raw ``(i, j, bound)`` constraint triples as the rows
     :func:`constrain_stack` takes: native int64 values packed three per row.
 
-    Bytes rather than an array: a plan keeps its guards this way for the
-    whole exploration, and ``ctypes`` passes a bytes object to C without a
-    conversion.
+    Bytes rather than an array: a query keeps its clock constraints this
+    way for the whole exploration, and ``ctypes`` passes a bytes object to C
+    without a conversion.
     """
     return array("q", [value for triple in triples for value in triple]).tobytes()
+
+
+#: plan flags of a firing program (the same values as in ``_zonekernels.c``):
+#: a deferred evaluation error, and a target in which time may pass
+FIRE_ERROR = 1
+FIRE_DELAY = 2
+
+#: values in a plan's header: flags and the three section lengths
+_PLAN_HEADER = 4
+
+_PLAN_COUNT = struct.Struct("q")
+
+
+def plan_record(guards, resets=(), invariants=(), delay=False, error=False) -> list[int]:
+    """One plan of a firing program, as a list of int64 values.
+
+    *guards* and the target's *invariants* are raw ``(i, j, bound)``
+    triples, *resets* ``(clock, value)`` pairs.  With *delay* time passes in
+    the target: after ``up`` the invariants come back, the upper bounds
+    (``j == 0``) in one exact re-closure.  A plan with a deferred *error*
+    only reports the layers whose guards pass, so its other sections are
+    left empty.
+    """
+    if error:
+        resets = invariants = ()
+    flags = FIRE_ERROR if error else FIRE_DELAY if delay else 0
+    record = [flags, len(guards), len(resets), len(invariants)]
+    for section in (guards, resets, invariants):
+        for entry in section:
+            record.extend(entry)
+    return record
+
+
+def firing_program(records) -> bytes:
+    """The packed firing program of the plan *records* (:func:`plan_record`)
+    that :func:`fire` takes: the plan count, then the records in order, as
+    native int64 values.  Bytes, like constraint rows: a key keeps its
+    program for the whole exploration."""
+    values = array("q", [len(records)])
+    for record in records:
+        values.extend(record)
+    return values.tobytes()
+
+
+def program_plans(program: bytes) -> int:
+    """The number of plans of a firing *program*."""
+    return _PLAN_COUNT.unpack_from(program)[0]
+
+
+def _record_bounds(values: list[int]) -> list[tuple[int, int]]:
+    """Where each plan record starts and stops in the int64 *values* of a
+    firing program."""
+    bounds, at = [], 1
+    for _ in range(values[0]):
+        guards, resets, invariants = values[at + 1:at + _PLAN_HEADER]
+        stop = at + _PLAN_HEADER + 3 * guards + 2 * resets + 3 * invariants
+        bounds.append((at, stop))
+        at = stop
+    return bounds
+
+
+def subset_program(program: bytes, indices) -> bytes:
+    """The firing program of the plans of *program* at *indices*, in that
+    order (repeats allowed)."""
+    bounds = _record_bounds(array("q", program).tolist())
+    return _PLAN_COUNT.pack(len(indices)) + b"".join(
+        program[8 * bounds[index][0]:8 * bounds[index][1]] for index in indices
+    )
+
+
+def _decode_program(program: bytes):
+    """Decode a firing program: per plan ``(flags, guards, resets,
+    invariants, uppers, others)``, the constraint sections as packed rows,
+    the target's upper-bound invariants as clock and bound vectors."""
+    values = array("q", program).tolist()
+    for start, stop in _record_bounds(values):
+        flags, guards, resets, _ = values[start:start + _PLAN_HEADER]
+        resets_at = start + _PLAN_HEADER + 3 * guards
+        invariants_at = resets_at + 2 * resets
+        reset_values, invariant_values = values[resets_at:invariants_at], values[invariants_at:stop]
+        triples = list(zip(invariant_values[::3], invariant_values[1::3], invariant_values[2::3]))
+        uppers = [(i, raw) for i, j, raw in triples if j == 0]
+        yield (flags, array("q", values[start + _PLAN_HEADER:resets_at]).tobytes(),
+               list(zip(reset_values[::2], reset_values[1::2])),
+               array("q", invariant_values).tobytes(),
+               (np.array([i for i, _ in uppers], dtype=np.int64),
+                np.array([raw for _, raw in uppers], dtype=np.int64)),
+               constraint_rows(t for t in triples if t[1] != 0))
 
 
 def add_raw(a: int, b: int) -> int:
@@ -493,16 +605,112 @@ def clear_scratch() -> None:
     _TRIU_CACHE.clear()
 
 
+# ---------------------------------------------------------------------------
+# numpy twins: the two round kernels
+# ---------------------------------------------------------------------------
+
+def _fire_numpy(source, program, out, nodes, counts) -> int:
+    """Fire every plan of *program* against the zones *source*.
+
+    Per plan, in program order: a copy of the live layers of *source*, the
+    guards, the resets, the target's invariants and, when time may pass
+    there, ``up`` and the upper bounds and difference invariants again --
+    as whole-stack kernels that flag emptied layers, with the stack
+    compressed only when its live count fell.  The surviving rows go to the
+    next free rows of *out*, their source layers to *nodes*, and their
+    number to ``counts[plan]``; a plan with a deferred error keeps the rows
+    its guards pass.  Returns the number of rows written.
+    """
+    plans = _decode_program(program)
+    base = np.flatnonzero(source[:, 0, 0] >= LE_ZERO)
+    if len(base) < len(source):
+        source = source[base]
+    count = len(source)
+    written = 0
+    for index, (flags, guards, resets, invariants, uppers, others) in enumerate(plans):
+        counts[index] = 0
+        zones, live, kept = source.copy(), count, base
+        if guards:
+            live = _constrain_stack_numpy(zones, guards)
+            if live < count:
+                alive = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
+                zones, kept = zones[alive], kept[alive]
+        if live and not flags & FIRE_ERROR:
+            for clock, value in resets:
+                _reset_stack_numpy(zones, clock, value)
+            if invariants:
+                live = _constrain_stack_numpy(zones, invariants)
+            if flags & FIRE_DELAY:
+                zones[:, 1:, 0] = INFINITY_RAW  # up: drop every upper bound
+                if len(uppers[0]):
+                    live = _impose_upper_bounds_stack_numpy(zones, *uppers)
+                if others:
+                    live = _constrain_stack_numpy(zones, others)
+            if live < len(zones):
+                alive = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
+                zones, kept = zones[alive], kept[alive]
+        if not live:
+            continue
+        out[written:written + live] = zones
+        nodes[written:written + live] = kept
+        counts[index] = live
+        written += live
+    return written
+
+
+def _decide_numpy(rows, bounds, members, grids):
+    """One decide round over the key-grouped candidate *rows*.
+
+    Per key run ``[start, stop)`` of *bounds*: the coverage check against
+    the key's federation rows ``members[k]``, the screen of candidates
+    included in an earlier candidate of the run on the raw rows, one
+    extrapolation of every run's survivors in place (chunked, unless
+    *grids* is None), the screen again on the extrapolated rows, and the
+    flush's eviction masks.  Returns ``(stored, doomed_rows,
+    doomed_members)`` as in the C kernel.
+    """
+    total = len(rows)
+    stored = np.zeros(total, dtype=bool)
+    doomed_rows = np.zeros(total, dtype=bool)
+    doomed_members = np.zeros(sum(len(federation) for federation in members), dtype=bool)
+    prepared = []  # (run, first row, survivors)
+    for run, (start, stop) in enumerate(bounds.tolist()):
+        candidates = rows[start:stop]
+        federation = members[run]
+        if len(federation):
+            survivors = np.flatnonzero(~_covers_many_numpy(federation, candidates))
+            candidates = candidates[survivors]
+        else:
+            survivors = np.arange(len(candidates))
+        doomed = _covered_by_earlier_numpy(candidates)
+        prepared.append((run, start, survivors[~doomed]))
+    if grids is not None and prepared:
+        picked = np.concatenate([start + survivors for _run, start, survivors in prepared])
+        cube = rows[picked].reshape(len(picked), *grids[0].shape)
+        for start in range(0, len(cube), _MAX_STACK_ROWS):
+            _extrapolate_stack_numpy(cube[start:start + _MAX_STACK_ROWS], *grids)
+        rows[picked] = cube.reshape(len(picked), rows.shape[1])
+    offsets = np.cumsum([0] + [len(federation) for federation in members]).tolist()
+    for run, start, survivors in prepared:
+        flat = rows[start + survivors]
+        keep = np.flatnonzero(~_covered_by_earlier_numpy(flat))
+        if not len(keep):
+            continue
+        positions = start + survivors[keep]
+        stored[positions] = True
+        doomed, doomed_rows[positions] = _evict_masks_numpy(members[run], flat[keep])
+        doomed_members[offsets[run]:offsets[run + 1]] = doomed
+    return stored, doomed_rows, doomed_members
+
+
 #: every kernel name this module binds, with its numpy twin
 NUMPY_KERNELS = {
     "constrain_stack": _constrain_stack_numpy,
-    "impose_upper_bounds_stack": _impose_upper_bounds_stack_numpy,
-    "reset_stack": _reset_stack_numpy,
     "extrapolate_stack": _extrapolate_stack_numpy,
     "covers": _covers_numpy,
     "covers_many": _covers_many_numpy,
-    "evict_masks": _evict_masks_numpy,
-    "covered_by_earlier": _covered_by_earlier_numpy,
+    "fire": _fire_numpy,
+    "decide": _decide_numpy,
 }
 
 
@@ -636,15 +844,14 @@ def _load() -> tuple[dict | None, str]:
 _INT64 = np.dtype(np.int64)
 _BYTE = ctypes.c_char * 1
 
-_P, _I, _I64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
+_P, _I = ctypes.c_void_p, ctypes.c_int
 #: argument types of the C functions; every one returns an int
 _SIGNATURES = {
     "zk_constrain": (_P, _I, _I, _P, _I),
-    "zk_impose_upper_bounds": (_P, _I, _I, _P, _P, _I),
-    "zk_reset": (_P, _I, _I, _I, _I64),
     "zk_extrapolate": (_P, _I, _I, _P, _P),
     "zk_covers": (_P, _I, _P, _I, _I, _P),
-    "zk_covered_by_other": (_P, _I, _I, _I, _P),
+    "zk_fire": (_P, _I, _I, _P, _I, _P, _I, _P, _P),
+    "zk_decide": (_P, _I, _I, _P, _I, _P, _P, _P, _P, _P, _P, _P),
 }
 
 
@@ -658,6 +865,15 @@ def _pointer(a: np.ndarray):
         return _BYTE.from_buffer(a)  # the cheap path: a writable array
     except TypeError:  # read-only, like the cached extrapolation grids
         return ctypes.c_void_p(a.ctypes.data)
+
+
+def _output(a: np.ndarray):
+    """The C argument for an array C writes: C-contiguous, int64, writable."""
+    if (a.dtype is not _INT64 and a.dtype != _INT64) or not a.flags.c_contiguous:
+        raise ModelError("zone kernels take C-contiguous int64 arrays")
+    if not a.flags.writeable:
+        raise ModelError("zone kernels write only writable arrays")
+    return _BYTE.from_buffer(a) if a.size else None
 
 
 def _stack(a: np.ndarray):
@@ -682,16 +898,23 @@ def _constraints(rows: bytes) -> bytes:
     return rows
 
 
-def _pairs(clocks: np.ndarray, raws: np.ndarray):
-    if clocks.ndim != 1 or clocks.shape != raws.shape:
-        raise ModelError("clocks and raws must be matching vectors")
-    return _pointer(clocks), _pointer(raws)
-
-
 def _rows(a: np.ndarray, width: int | None = None):
     if a.ndim != 2 or (width is not None and a.shape[1] != width):
         raise ModelError("inclusion kernels take (count, dim * dim) rows")
     return _pointer(a)
+
+
+def _members(members, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The address and row count of every federation's member rows, each
+    checked like any other array C reads."""
+    addresses, counts = [], []
+    for rows in members:
+        if (rows.dtype is not _INT64 or not rows.flags.c_contiguous or rows.ndim != 2
+                or rows.shape[1] != width):
+            raise ModelError("member rows must be C-contiguous int64 (count, dim * dim)")
+        addresses.append(ctypes.addressof(ctypes.c_char.from_buffer(rows)) if len(rows) else 0)
+        counts.append(len(rows))
+    return np.array(addresses, dtype=np.uintp), np.array(counts, dtype=np.int64)
 
 
 def _checked(live: int) -> int:
@@ -703,21 +926,13 @@ def _checked(live: int) -> int:
 
 def _compiled_kernels(lib: ctypes.CDLL) -> dict:
     """Checked wrappers over the library's functions, named like the twins."""
-    zk_constrain, zk_impose = lib.zk_constrain, lib.zk_impose_upper_bounds
-    zk_reset, zk_extrapolate = lib.zk_reset, lib.zk_extrapolate
-    zk_covers, zk_covered_by_other = lib.zk_covers, lib.zk_covered_by_other
+    zk_constrain, zk_extrapolate, zk_covers = lib.zk_constrain, lib.zk_extrapolate, lib.zk_covers
+    zk_fire, zk_decide = lib.zk_fire, lib.zk_decide
 
     def constrain_stack(a, rows):
         stack = _stack(a)
         rows = _constraints(rows)
         return _checked(zk_constrain(stack, len(a), a.shape[1], rows, len(rows) // _ROW_BYTES))
-
-    def impose_upper_bounds_stack(a, clocks, raws):
-        stack = _stack(a)
-        return _checked(zk_impose(stack, len(a), a.shape[1], *_pairs(clocks, raws), len(clocks)))
-
-    def reset_stack(a, clock, value):
-        return _checked(zk_reset(_stack(a), len(a), a.shape[1], clock, value))
 
     def extrapolate_stack(a, upper_grid, lower_grid):
         stack = _stack(a)
@@ -735,33 +950,54 @@ def _compiled_kernels(lib: ctypes.CDLL) -> dict:
                   members.shape[1], _BYTE.from_buffer(out))
         return out
 
-    def evict_masks(members, rows):
-        width = rows.shape[1] if rows.ndim == 2 else -1
-        doomed_members = np.zeros(len(members), dtype=bool)
-        doomed_rows = np.zeros(len(rows), dtype=bool)
-        pointer = _rows(rows)
-        if len(members):
-            zk_covers(pointer, len(rows), _rows(members, width), len(members), width,
-                      _BYTE.from_buffer(doomed_members))
-        zk_covered_by_other(pointer, len(rows), width, 1, _BYTE.from_buffer(doomed_rows))
-        return doomed_members, doomed_rows
+    def fire(source, program, out, nodes, counts):
+        stack = _stack(source)
+        if not isinstance(program, bytes) or len(program) % 8 or not program or (
+            out.ndim != 3 or out.shape[1:] != source.shape[1:] or nodes.ndim != 1
+        ) or counts.ndim != 1 or len(counts) < program_plans(program):
+            raise ModelError("fire takes a packed program, a (capacity, dim, dim) output, "
+                             "node and count vectors")
+        capacity = min(len(out), len(nodes))
+        written = zk_fire(stack, len(source), source.shape[1], program, len(program) // 8,
+                          _output(out), capacity, _output(nodes), _output(counts))
+        if written < 0:
+            raise ModelError("malformed firing program, clock index out of range "
+                             "or output too small")
+        return written
 
-    def covered_by_earlier(flat):
-        out = np.zeros(len(flat), dtype=bool)
-        pointer = _rows(flat)
-        if len(flat) > 1:
-            zk_covered_by_other(pointer, len(flat), flat.shape[1], 0, _BYTE.from_buffer(out))
-        return out
+    def decide(rows, bounds, members, grids):
+        width = rows.shape[1] if rows.ndim == 2 else -1
+        dim = math.isqrt(max(width, 0))
+        if dim * dim != width or bounds.ndim != 2 or bounds.shape[1] != 2 or (
+            len(members) != len(bounds)
+        ):
+            raise ModelError("decide takes (count, dim * dim) rows, (runs, 2) bounds "
+                             "and one member array per run")
+        pointer, bound_pointer = _output(rows), _pointer(bounds)
+        addresses, counts = _members(members, width)
+        upper = lower = None
+        if grids is not None:
+            upper, lower = _grids(dim, *grids)
+        stored = np.zeros(len(rows), dtype=bool)
+        doomed_rows = np.zeros(len(rows), dtype=bool)
+        doomed_members = np.zeros(int(counts.sum()), dtype=bool)
+        kept = zk_decide(pointer, len(rows), dim, bound_pointer, len(bounds),
+                         _BYTE.from_buffer(addresses) if len(addresses) else None,
+                         _BYTE.from_buffer(counts) if len(counts) else None, upper, lower,
+                         _BYTE.from_buffer(stored) if len(rows) else None,
+                         _BYTE.from_buffer(doomed_rows) if len(rows) else None,
+                         _BYTE.from_buffer(doomed_members) if len(doomed_members) else None)
+        if kept < 0:
+            raise ModelError("decide runs must be ordered ranges of the rows")
+        return stored, doomed_rows, doomed_members
 
     return {
         "constrain_stack": constrain_stack,
-        "impose_upper_bounds_stack": impose_upper_bounds_stack,
-        "reset_stack": reset_stack,
         "extrapolate_stack": extrapolate_stack,
         "covers": covers,
         "covers_many": covers_many,
-        "evict_masks": evict_masks,
-        "covered_by_earlier": covered_by_earlier,
+        "fire": fire,
+        "decide": decide,
     }
 
 
@@ -771,11 +1007,9 @@ COMPILED_KERNELS, BACKEND = _load()
 
 _bound = COMPILED_KERNELS or NUMPY_KERNELS
 constrain_stack = _bound["constrain_stack"]
-impose_upper_bounds_stack = _bound["impose_upper_bounds_stack"]
-reset_stack = _bound["reset_stack"]
 extrapolate_stack = _bound["extrapolate_stack"]
 covers = _bound["covers"]
 covers_many = _bound["covers_many"]
-evict_masks = _bound["evict_masks"]
-covered_by_earlier = _bound["covered_by_earlier"]
+fire = _bound["fire"]
+decide = _bound["decide"]
 del _bound

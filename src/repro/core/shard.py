@@ -27,23 +27,24 @@ BFS pop order -- a whole BFS level, or part of one when a budget caps it:
 
 1. **expand**: every partition pops its frontier rows below the round
    horizon, groups them by key (a stable argsort of the key ids), fires
-   each same-key block as one zone array
-   (:meth:`SuccessorGenerator.block_successors`), folds each target key onto
-   its symmetry representative *before* hashing, and routes each candidate
-   -- tagged ``(parent_seq, plan_index)`` -- to the owner of its target key.
+   each same-key block with one ``kernels.fire`` call
+   (:meth:`SuccessorGenerator.block_successors` runs the key's firing
+   program), folds each target key onto its symmetry representative
+   *before* hashing, and routes each candidate -- tagged ``(parent_seq,
+   plan_index)`` -- to the owner of its target key.
 2. **decide**: every partition sorts the candidates it owns by tag (one
    lexsort), scatters their rows once into one key-grouped array and
-   replays the scalar store discipline per key: one batched
-   :meth:`Federation.covers_many` pass against the pre-round federation,
-   the within-round screen (``kernels.covered_by_earlier``) on the raw
-   rows, one round-wide batched extrapolation, the same screen on the
-   extrapolated survivors, and a single
-   :meth:`Federation.add_many_uncovered` flush per key.  Every zone kernel
-   is a call into :mod:`repro.core.kernels`.  The query spec is then
-   evaluated once per key, over the rows the key stored
-   (:meth:`repro.core.reachability._EvalSpec.evaluate`), and resolved in
-   tag order.  Frontier states never become objects: a partition keeps
-   them as row arrays.
+   replays the scalar store discipline for the whole round in one
+   ``kernels.decide`` call: per key the coverage check against the
+   pre-round federation, the within-round screen on the raw rows,
+   extrapolation of the survivors, the same screen on the extrapolated
+   rows, and the eviction masks of the federation flush.  Python then
+   flushes each key's stored rows with those masks
+   (:meth:`Federation.add_many_uncovered`), evaluates the query spec once
+   per key over the rows it stored
+   (:meth:`repro.core.reachability._EvalSpec.evaluate`) and resolves the
+   results in tag order.  Frontier states never become objects: a
+   partition keeps them as row arrays.
 3. **merge**: the coordinator lexsorts the reported tags, assigns global
    scalar sequence numbers (``seq`` = scalar BFS pop order), accumulates the
    per-candidate decision records into the statistics, and resolves goals,
@@ -366,73 +367,58 @@ class _Partition:
         # its rows: that keeps the round's peak memory down
         del groups, slot
 
-        # per key: coverage on the raw rows against the pre-round
-        # federation, then a two-stage within-round screen (the scalar
-        # store-then-recheck discipline, batched; both stages are one
-        # kernels.covered_by_earlier call):
+        # the whole round's store discipline in one kernel call; per key, in
+        # tag order (the scalar store-then-recheck discipline, batched):
         #
-        # 1. raw-vs-raw -- a candidate included in an EARLIER raw candidate
-        #    is doomed before paying for extrapolation (extrapolation and
-        #    re-closure are entrywise monotone, so raw inclusion survives
-        #    into the stored comparison);
-        # 2. extrapolated-vs-extrapolated among the survivors
-        #    (Z <= W  <=>  Extra(Z) <= W for stored W).
+        # 1. coverage of the raw rows by the pre-round federation;
+        # 2. the raw screen -- a candidate included in an EARLIER raw
+        #    candidate is doomed before paying for extrapolation
+        #    (extrapolation and re-closure are entrywise monotone, so raw
+        #    inclusion survives into the stored comparison);
+        # 3. extrapolation of the survivors, then the same screen on the
+        #    extrapolated rows (Z <= W  <=>  Extra(Z) <= W for stored W);
+        # 4. the flush's masks: members a stored row includes, and stored
+        #    rows a later stored row includes.
         #
-        # Both stages kill exactly the candidates the scalar loop's
+        # The screens kill exactly the candidates the scalar loop's
         # store-then-recheck would: by transitivity of inclusion, a
         # candidate covered by a killed earlier zone is also covered by
         # whatever stored zone killed that one.
-        prepared = []  # (key, first, survivors, offset), survivors in run order
-        kept_rows = [np.empty((0, self.dim * self.dim), dtype=np.int64)]
-        offset = 0
-        for first, stop in _runs(keys[by_key]):
-            key = int(keys[by_key[first]])
-            run = raw[first:stop]
-            federation = self.passed[key]
-            if federation:
-                survivors = np.flatnonzero(~federation.covers_many(run))
-                if not len(survivors):
-                    continue
-                if len(survivors) < len(run):
-                    run = run[survivors]
-            else:
-                survivors = np.arange(len(run))
-            doomed = kernels.covered_by_earlier(run)
-            if doomed.any():
-                run, survivors = run[~doomed], survivors[~doomed]
-            prepared.append((key, first, survivors, offset))
-            kept_rows.append(run)
-            offset += len(survivors)
-        del raw
-
-        # the survivors of every key in one array, extrapolated in place in
-        # chunks of _MAX_STACK_ROWS: the grids are global and each layer's
-        # kernels independent, so batching across keys amortises the
-        # per-stack dispatch cost without round-sized kernel scratch
-        flat_all = np.concatenate(kept_rows)
-        del kept_rows
-        cube = flat_all.reshape(len(flat_all), self.dim, self.dim)
-        for start in range(0, len(cube), _MAX_STACK_ROWS):
-            self.generator.extrapolate(cube[start:start + _MAX_STACK_ROWS])
-
-        # the second screen, the federation flush and the rows each key
-        # stores, keyed by the tag position of its first stored candidate
+        sorted_keys = keys[by_key]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+        bounds = np.empty((len(starts), 2), dtype=np.int64)
+        bounds[:, 0] = starts
+        bounds[:-1, 1] = starts[1:]
+        bounds[-1, 1] = total
+        run_keys = sorted_keys[starts].tolist()
+        federations = [self.passed[key] for key in run_keys]
+        kept, doomed_rows, doomed_members = kernels.decide(
+            raw, bounds, [federation.members for federation in federations],
+            self.generator.extrapolation_grids(),
+        )
+        kept = np.flatnonzero(kept)
         stored = np.zeros(total, dtype=bool)
-        layer = np.empty(total, dtype=np.intp)  # tag position -> flat_all row
         runs = []  # (first tag position, key, tag positions, rows)
-        for key, first, survivors, offset in prepared:
-            flat = flat_all[offset:offset + len(survivors)]
-            keep = np.flatnonzero(~kernels.covered_by_earlier(flat))
-            positions = by_key[first + survivors[keep]]
+        if len(kept):
+            positions = by_key[kept]  # increasing within each key's run
             stored[positions] = True
-            layer[positions] = offset + keep
-            rows = flat[keep] if len(keep) < len(flat) else flat
-            self.passed[key].add_many_uncovered(rows)
-            runs.append((int(positions[0]), key, positions, rows))
-
-        new = np.flatnonzero(stored)
-        if len(new):
-            self.unassigned = (keys[new], flat_all[layer[new]])
+            rows = raw[kept]
+            doomed_rows = doomed_rows[kept]
+            del raw
+            cuts = np.searchsorted(kept, starts).tolist() + [len(kept)]
+            member_cut = 0
+            for run, (key, federation) in enumerate(zip(run_keys, federations)):
+                first, stop = cuts[run], cuts[run + 1]
+                members = slice(member_cut, member_cut + len(federation))
+                member_cut = members.stop
+                if first == stop:
+                    continue
+                federation.add_many_uncovered(rows[first:stop], doomed_members[members],
+                                              doomed_rows[first:stop])
+                runs.append((int(positions[first]), key, positions[first:stop],
+                             rows[first:stop]))
+            order = np.argsort(positions, kind="stable")  # tag order
+            self.unassigned = (keys[positions[order]], rows[order])
         goal_tag = self._evaluate(runs, parents, plans) if self.spec.kind != "count" else None
         return parents, plans, stored, folded, goal_tag, self.sup_best
 

@@ -33,15 +33,18 @@ compiled guard closures per transition and a handful of integer operations.
 
 Firing
 ------
-One routine fires plans, :meth:`SuccessorGenerator._fire_plans`.  It takes
-the source zones as one ``(count, dim, dim)`` int64 array -- a single state
-is a stack of one, ``state.zone.m2[None]`` -- and runs guard, reset,
-target invariant and delay as stack kernels of :mod:`repro.core.kernels`,
-following the live-layer count they return and dropping dead layers only
-when the count fell.  :meth:`~SuccessorGenerator.successors` (the scalar
-loop, witness replay) and :meth:`~SuccessorGenerator.block_successors` (the
-layered core's same-key groups) both call it, so the two engines fire
-through the same code.
+Next to its plans every key gets a *firing program*: each plan's guards and
+resets with the target's invariants and delay, packed as int64 values
+(:func:`repro.core.kernels.firing_program`).  One routine fires it,
+:meth:`SuccessorGenerator._fire`: a single :func:`repro.core.kernels.fire`
+call runs every plan of the key against the source zones, one ``(count,
+dim, dim)`` int64 array -- a single state is a stack of one,
+``state.zone.m2[None]`` -- and writes only the live successor rows, grouped
+by plan, into storage the generator reuses from call to call.
+:meth:`~SuccessorGenerator.successors` (the scalar loop, witness replay),
+:meth:`~SuccessorGenerator.block_successors` (the layered core's same-key
+blocks) and :meth:`~SuccessorGenerator.initial_state` all fire through it,
+so every engine fires through the same code.
 
 Transition labels are built once per plan and only when the caller records
 traces.  The extrapolation step can be deferred by the caller
@@ -56,12 +59,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core import kernels
-from repro.core.dbm import DBM, INFINITY_RAW, LE_ZERO, _extrapolation_grids
+from repro.core.dbm import DBM, LE_ZERO, _extrapolation_grids
 from repro.core.network import CompiledEdge, CompiledNetwork
 from repro.util.errors import ModelError
 
@@ -176,8 +179,8 @@ class _Plan:
     mirroring the run-time semantics of the unmemoised implementation.
     """
 
-    __slots__ = ("kind", "channel", "participants", "guards", "guard_rows", "resets",
-                 "locations", "variables", "key_bytes", "error")
+    __slots__ = ("kind", "channel", "participants", "guards", "resets", "locations",
+                 "variables", "key_bytes", "error")
 
     def __init__(self, kind, channel, participants, guards, resets, locations, variables, error):
         self.kind = kind
@@ -185,8 +188,6 @@ class _Plan:
         self.participants = participants
         #: evaluated clock guards as raw (i, j, bound) triples
         self.guards: tuple[tuple[int, int, int], ...] = guards
-        #: the same guards as constraint rows for the kernels
-        self.guard_rows = kernels.constraint_rows(guards)
         #: evaluated resets as (clock, value) pairs
         self.resets: tuple[tuple[int, int], ...] = resets
         #: target location vector
@@ -202,31 +203,23 @@ class _Plan:
 class _DiscreteInfo:
     """Memoised discrete-only facts about one ``(locations, variables)`` key.
 
-    ``plans`` and ``labels`` are filled lazily: urgency and the invariant
-    bounds are needed for every state that merely gets *stored*, while plans
-    are only needed when a state is actually *expanded*, and labels only when
-    traces are recorded.
+    ``plans``, ``program`` and ``labels`` are filled lazily: urgency and the
+    invariant bounds go into the firing programs of the keys whose plans
+    lead here, while plans and their firing program are only needed when a
+    state is actually *expanded*, and labels only when traces are recorded.
     """
 
-    __slots__ = ("urgent", "committed", "invariants", "invariant_rows", "upper_clocks",
-                 "upper_raws", "other_rows", "plans", "labels")
+    __slots__ = ("urgent", "committed", "invariants", "plans", "program", "labels")
 
     def __init__(self, urgent: bool, committed: frozenset[int],
                  invariants: tuple[tuple[int, int, int], ...]):
         self.urgent = urgent
         self.committed = committed
-        #: evaluated invariant constraints as raw (i, j, bound) triples, and
-        #: as constraint rows for the kernels
+        #: evaluated invariant constraints as raw (i, j, bound) triples
         self.invariants = invariants
-        self.invariant_rows = kernels.constraint_rows(invariants)
-        # split for the post-delay re-application: plain upper bounds
-        # (j == 0) go through one impose_upper_bounds kernel call, the rest
-        # (difference invariants, rare) through the constrain kernel
-        uppers = [(i, raw) for i, j, raw in invariants if j == 0]
-        self.upper_clocks = np.array([i for i, _ in uppers], dtype=np.int64)
-        self.upper_raws = np.array([raw for _, raw in uppers], dtype=np.int64)
-        self.other_rows = kernels.constraint_rows(t for t in invariants if t[1] != 0)
         self.plans: tuple[_Plan, ...] | None = None
+        #: the plans' packed firing program (:func:`repro.core.kernels.fire`)
+        self.program: bytes | None = None
         self.labels: list[TransitionLabel | None] | None = None
 
 
@@ -268,6 +261,12 @@ class SuccessorGenerator:
         #: cached raw extrapolation grids, keyed by the network bounds version
         self._extra_version: int = -1
         self._extra_grids = None
+        #: the storage :meth:`_fire` writes successor rows, their source
+        #: layers and per-plan counts into, grown as needed and reused
+        dim = network.dim
+        self._fire_rows = np.empty((0, dim, dim), dtype=np.int64)
+        self._fire_nodes = np.empty(0, dtype=np.int64)
+        self._fire_counts = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ setup
     def _build_edge_tables(self) -> None:
@@ -298,8 +297,9 @@ class SuccessorGenerator:
             self._recv.append(recv_rows)
 
     # ------------------------------------------------------------- basic helpers
-    def _extrapolation_vectors(self):
-        """Raw threshold grids for the current network bounds (cached).
+    def extrapolation_grids(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Raw threshold grids of the configured extrapolation for the
+        current network bounds (cached), or None under ``"none"``.
 
         In ``"max"`` mode the classical maximal constants feed both grid
         sides.  In ``"lu"`` mode the network's per-clock lower bounds drive
@@ -307,6 +307,8 @@ class SuccessorGenerator:
         strictly coarser wherever a clock is only ever compared against a
         constant from one side (``docs/reductions.md``).
         """
+        if self.options.extrapolation == "none":
+            return None
         version = self.network.max_constants_version
         if version != self._extra_version:
             if self.options.extrapolation == "lu":
@@ -321,9 +323,9 @@ class SuccessorGenerator:
     def extrapolate(self, zones: np.ndarray) -> np.ndarray:
         """Apply the configured extrapolation in place to every zone of the
         ``(count, dim, dim)`` array *zones* (a state's zone: ``zone.m2[None]``)."""
-        if self.options.extrapolation != "none":
-            upper_grid, lower_grid = self._extrapolation_vectors()
-            kernels.extrapolate_stack(zones, upper_grid, lower_grid)
+        grids = self.extrapolation_grids()
+        if grids is not None:
+            kernels.extrapolate_stack(zones, *grids)
         return zones
 
     def extrapolate_stack(self, stack):
@@ -433,7 +435,7 @@ class SuccessorGenerator:
         engine evaluated these lazily per fire and never reached them when
         an earlier clock guard was unsatisfiable, so the plan records the
         first error together with the guards evaluated before it, and
-        :meth:`_fire_plans` reports it only when those guards actually pass.
+        :meth:`_fire` reports it only when those guards actually pass.
         """
         net = self.network
         guards: list[tuple[int, int, int]] = []
@@ -539,7 +541,34 @@ class SuccessorGenerator:
                             plan("broadcast", channel_name, participants)
 
         info.plans = tuple(plans)
+        info.program = kernels.firing_program([self._plan_record(plan) for plan in plans])
         info.labels = [None] * len(plans)
+
+    def _plan_record(self, plan: _Plan) -> list[int]:
+        """The firing-program record of *plan*: its guards and resets, then
+        the target's invariants and, unless time is frozen there, the delay.
+
+        The target's facts come from the memo when the target was seen and
+        are evaluated without memoising otherwise: most targets of a plan
+        whose guards never pass are never stored.  A target whose urgency or
+        invariants fail to evaluate defers the error like any evaluation
+        error of the plan: it is raised only when the plan's guards pass.
+        """
+        if plan.error is None:
+            target = self._discrete.get((plan.locations, plan.variables))
+            try:
+                if target is None:
+                    urgent = self._is_urgent_discrete(plan.locations, plan.variables)
+                    invariants = self._evaluate_constraints(
+                        self._invariant_constraints_for(plan.locations), plan.variables
+                    )
+                else:
+                    urgent, invariants = target.urgent, target.invariants
+            except Exception as exc:
+                plan.error = exc
+        if plan.error is not None:
+            return kernels.plan_record(plan.guards, error=True)
+        return kernels.plan_record(plan.guards, plan.resets, invariants, delay=not urgent)
 
     def _plan_label(self, info: _DiscreteInfo, index: int) -> TransitionLabel:
         label = info.labels[index]
@@ -550,68 +579,30 @@ class SuccessorGenerator:
         return label
 
     # --------------------------------------------------------------- firing
-    @staticmethod
-    def _settle(zones: np.ndarray, info: _DiscreteInfo) -> int:
-        """Impose the invariants of *info* on the live layers *zones* and,
-        unless time is frozen there, let time pass under them; returns the
-        live layer count.
+    def _fire(self, program: bytes, source: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                 list[int]]:
+        """Run the firing *program* against the ``(count, dim, dim)`` zones
+        *source* (not modified) in one :func:`repro.core.kernels.fire` call.
 
-        ``up`` keeps the canonical form, and the upper-bound invariants it
-        loosened come back in one exact re-closure.
+        Returns the live successor rows, grouped by plan in program order,
+        their source layers, and how many rows each plan kept.  The rows are
+        delay-closed and not extrapolated; a plan with a deferred error
+        keeps the layers its guards pass.  Both arrays are views of the
+        generator's reused storage, valid until the next call: callers copy
+        what they keep.
         """
-        live = len(zones)
-        if info.invariant_rows:
-            live = kernels.constrain_stack(zones, info.invariant_rows)
-        if not info.urgent:
-            zones[:, 1:, 0] = INFINITY_RAW  # up: drop every upper bound
-            if len(info.upper_clocks):
-                live = kernels.impose_upper_bounds_stack(zones, info.upper_clocks, info.upper_raws)
-            if info.other_rows:
-                live = kernels.constrain_stack(zones, info.other_rows)
-        return live
-
-    def _fire_plans(
-        self, info: _DiscreteInfo, source: np.ndarray, plan_indices: Iterable[int] | None = None
-    ) -> Iterator[BlockFire]:
-        """Fire the plans of *info* against the ``(count, dim, dim)`` zones *source*.
-
-        Yields one :class:`BlockFire` per plan (every plan, or those at
-        *plan_indices*) that leaves a live layer, in plan order; *source*
-        is not modified.  Each plan runs guard, reset, target invariant and
-        delay on a copy of *source* as stack kernels, which skip dead layers
-        and return the live count; the array is compressed only when that
-        count fell.  The zones are left unextrapolated.
-        """
-        count = len(source)
-        everyone = np.arange(count, dtype=np.intp)
-        plans = info.plans
-        for index in range(len(plans)) if plan_indices is None else plan_indices:
-            plan = plans[index]
-            zones = source.copy()
-            live = count
-            if plan.guard_rows:
-                live = kernels.constrain_stack(zones, plan.guard_rows)
-                if not live:
-                    continue
-            nodes = everyone
-            if live < count:
-                nodes = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
-            if plan.error is not None:
-                # deferred evaluation error: expanding a state whose guards
-                # passed must raise it
-                yield BlockFire(plan, index, None, nodes, plan.error)
-                continue
-            if live < count:
-                zones = zones[nodes]
-            for clock, value in plan.resets:
-                kernels.reset_stack(zones, clock, value)
-            kept = self._settle(zones, self._discrete_info(plan.locations, plan.variables))
-            if not kept:
-                continue
-            if kept < live:
-                alive = np.flatnonzero(zones[:, 0, 0] >= LE_ZERO)
-                zones, nodes = zones[alive], nodes[alive]
-            yield BlockFire(plan, index, zones, nodes, None)
+        plans = kernels.program_plans(program)
+        needed = len(source) * plans
+        if needed > len(self._fire_nodes):
+            capacity = max(needed, 2 * len(self._fire_nodes))
+            self._fire_rows = np.empty((capacity, *source.shape[1:]), dtype=np.int64)
+            self._fire_nodes = np.empty(capacity, dtype=np.int64)
+        if plans > len(self._fire_counts):
+            self._fire_counts = np.empty(max(plans, 2 * len(self._fire_counts)), dtype=np.int64)
+        written = kernels.fire(source, program, self._fire_rows, self._fire_nodes,
+                               self._fire_counts)
+        return (self._fire_rows[:written], self._fire_nodes[:written],
+                self._fire_counts[:plans].tolist())
 
     # --------------------------------------------------------------- initial state
     def initial_state(self) -> SymbolicState:
@@ -619,12 +610,17 @@ class SuccessorGenerator:
         net = self.network
         locations = net.initial_locations()
         variables = net.initial_variables
-        zones = np.full((1, net.dim, net.dim), LE_ZERO, dtype=np.int64)  # all clocks 0
-        if not self._settle(zones, self._discrete_info(locations, variables)):
+        info = self._discrete_info(locations, variables)
+        program = kernels.firing_program([
+            kernels.plan_record((), (), info.invariants, delay=not info.urgent)
+        ])
+        zeros = np.full((1, net.dim, net.dim), LE_ZERO, dtype=np.int64)  # all clocks 0
+        rows, _nodes, _counts = self._fire(program, zeros)
+        if not len(rows):
             raise ModelError(
                 "the initial state violates an invariant; the model admits no behaviour"
             )
-        self.extrapolate(zones)
+        zones = self.extrapolate(rows.copy())
         return SymbolicState(locations, variables, DBM._wrap(net.dim, zones.reshape(-1)))
 
     # ----------------------------------------------------------------- transitions
@@ -665,18 +661,27 @@ class SuccessorGenerator:
         it when its guards pass, before any later plan is fired.
         """
         info = self.plan_info(state.locations, state.variables)
-        dim = state.zone.dim
-        results: list[tuple[TransitionLabel | None, SymbolicState]] = []
-        for fire in self._fire_plans(info, state.zone.m2[None], plan_indices):
-            if fire.error is not None:
+        if plan_indices is None:
+            indices, program = range(len(info.plans)), info.program
+        else:
+            indices = [int(index) for index in plan_indices]
+            program = kernels.subset_program(info.program, indices)
+        rows, _nodes, counts = self._fire(program, state.zone.m2[None])
+        fired = [index for index, kept in zip(indices, counts) if kept]
+        for index in fired:
+            error = info.plans[index].error
+            if error is not None:
                 # reset the cached instance's traceback so repeated fires do
                 # not accumulate frames from earlier raises
-                raise fire.error.with_traceback(None)
-            if extrapolate:
-                self.extrapolate(fire.zones)
-            plan = fire.plan
-            zone = DBM._wrap(dim, fire.zones.reshape(-1))
-            label = self._plan_label(info, fire.plan_index) if with_labels else None
+                raise error.with_traceback(None)
+        if extrapolate and len(rows):
+            self.extrapolate(rows)
+        dim = state.zone.dim
+        results: list[tuple[TransitionLabel | None, SymbolicState]] = []
+        for row, index in zip(rows, fired):
+            plan = info.plans[index]
+            zone = DBM._wrap(dim, row.reshape(-1).copy())
+            label = self._plan_label(info, index) if with_labels else None
             results.append((label, SymbolicState(plan.locations, plan.variables, zone,
                                                  plan.key_bytes)))
         return results
@@ -689,12 +694,24 @@ class SuccessorGenerator:
         *zones* is the ``(count, dim, dim)`` int64 array of the block's zones
         and *key* their common ``(locations, variables)`` -- the layered core
         groups each round's frontier rows by key -- so the block shares the
-        memoised plan list, and each plan's clock work runs once for the
-        whole block (:meth:`_fire_plans`); *zones* is not modified.  Per
-        fired plan the result lists the surviving layers and their
-        delay-closed zones; extrapolation is deferred exactly like
-        ``successors(..., extrapolate=False)`` (the engine extrapolates only
-        the states it keeps, via :meth:`extrapolate`).
+        memoised plans, and one :meth:`_fire` call runs all of them on the
+        whole block; *zones* is not modified.  Per fired plan the result
+        lists the surviving layers and their delay-closed zones (views of
+        one array holding the block's live successors); extrapolation is
+        deferred exactly like ``successors(..., extrapolate=False)`` (the
+        engine extrapolates only the states it keeps).
         """
         info = self.plan_info(*key)
-        return info, list(self._fire_plans(info, zones))
+        rows, nodes, counts = self._fire(info.program, zones)
+        rows, nodes = rows.copy(), nodes.copy()
+        fires = []
+        start = 0
+        for index, kept in enumerate(counts):
+            if kept:
+                plan, stop = info.plans[index], start + kept
+                if plan.error is None:
+                    fires.append(BlockFire(plan, index, rows[start:stop], nodes[start:stop], None))
+                else:
+                    fires.append(BlockFire(plan, index, None, nodes[start:stop], plan.error))
+                start = stop
+        return info, fires

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_dbm_vectorised import extrapolate_max_bounds, ref_extrapolate_max_bounds
+from test_dbm_vectorised import extrapolate_max_bounds, fire_layers, ref_extrapolate_max_bounds
 
 from repro.core import kernels
 from repro.core.dbm import (
@@ -310,7 +310,9 @@ class TestZoneProperties:
         zone = _build_zone(constraints)
         if zone.is_empty():
             return
-        assert kernels.reset_stack(zone.m2[None], clock, value) == 1
+        reset, live = fire_layers(zone.m2[None], kernels.plan_record((), [(clock, value)]))
+        assert live == 1
+        zone = DBM._wrap(zone.dim, reset.reshape(-1))
         assert not zone.is_empty()
         raw_upper = zone.upper_bound(clock)
         raw_lower = zone.lower_bound(clock)

@@ -1,11 +1,12 @@
 """Property tests: the zone-array kernels vs pure-Python references.
 
 The references below are the seed implementations (scalar loops over a flat
-Python list).  Every kernel of :mod:`repro.core.kernels` that the firing
-pipeline runs -- rank-1 ``constrain``, ``impose_upper_bounds``, ``reset``,
-the extrapolations with their re-closure -- and the delay step of the
-successor generator must produce bit-identical matrices on every layer of a
-``(count, dim, dim)`` zone array, one layer or several, on both backends:
+Python list).  Every zone operation of :mod:`repro.core.kernels` that the
+engine runs -- rank-1 ``constrain``, and through one-plan firing programs of
+``fire`` the upper-bound re-imposition, ``reset`` and the delay step, and
+the extrapolations with their re-closure -- must produce bit-identical
+matrices on every layer of a ``(count, dim, dim)`` zone array, one layer or
+several, on both backends:
 the reachability engine's state counts and passed-list keys depend on exact
 raw bounds, not merely on the represented polyhedra.  A layer whose zone is
 empty is only guaranteed to be flagged empty (entry ``(0, 0)`` below
@@ -27,7 +28,6 @@ from repro.core.dbm import (
     add_raw,
     bound,
 )
-from repro.core.successors import SuccessorGenerator, _DiscreteInfo
 
 pytestmark = pytest.mark.usefixtures("kernel_backend")
 
@@ -76,6 +76,20 @@ def _check(zones: np.ndarray, expected: list, live=None) -> None:
             assert zones[layer, 0, 0] < LE_ZERO, f"layer {layer}: reference empty, kernel not"
         else:
             assert zones[layer].reshape(-1).tolist() == m, f"layer {layer} diverged"
+
+
+def fire_layers(zones: np.ndarray, record: list[int]) -> tuple[np.ndarray, int]:
+    """Fire the one-plan program *record* against every layer of *zones*:
+    a copy with each layer's successor in its place (the layers that fire
+    nothing flagged empty), and the number of live successors."""
+    out = np.empty_like(zones)
+    nodes = np.empty(len(zones), dtype=np.int64)
+    written = kernels.fire(zones, kernels.firing_program([record]), out, nodes,
+                           np.empty(1, dtype=np.int64))
+    result = zones.copy()
+    result[:, 0, 0] = LE_ZERO - 2
+    result[nodes[:written]] = out[:written]
+    return result, written
 
 
 def _reference(zones: np.ndarray, operation) -> list:
@@ -194,28 +208,29 @@ class TestKernelsAgainstReferences:
     )
     @settings(max_examples=150, deadline=None)
     def test_impose_upper_bounds_matches_sequential_constrain(self, constraint_lists, pairs):
-        pairs = [(clock, bound(value)) for clock, value in pairs]
+        """Upper-bound invariants re-imposed after ``up`` in one exact
+        re-closure: the same matrices as rank-1 constrain, one by one."""
+        invariants = [(clock, 0, bound(value)) for clock, value in pairs]
         zones = _build_layers(constraint_lists)
-        zones[:, 1:, 0] = INFINITY_RAW  # the kernel's use: right after up
+        zones[:, 1:, 0] = INFINITY_RAW  # the re-imposition's use: right after up
 
         def sequential(m):
-            return all(ref_constrain(m, DIM, clock, 0, raw) for clock, raw in pairs)
+            if not all(ref_constrain(m, DIM, i, j, raw) for i, j, raw in invariants):
+                return False
+            ref_up(m, DIM)
+            return all(ref_constrain(m, DIM, i, j, raw) for i, j, raw in invariants)
 
         expected = _reference(zones, sequential)
-        live = kernels.impose_upper_bounds_stack(
-            zones,
-            np.array([c for c, _ in pairs], dtype=np.int64),
-            np.array([r for _, r in pairs], dtype=np.int64),
-        )
-        _check(zones, expected, live)
+        result, live = fire_layers(zones, kernels.plan_record((), (), invariants, delay=True))
+        _check(result, expected, live)
 
     @given(layers_strategy, st.integers(1, DIM - 1), st.integers(0, 9))
     @settings(max_examples=150, deadline=None)
     def test_reset(self, constraint_lists, clock, value):
         zones = _build_layers(constraint_lists)
         expected = _reference(zones, lambda m: ref_reset(m, DIM, clock, value))
-        live = kernels.reset_stack(zones, clock, value)
-        _check(zones, expected, live)
+        result, live = fire_layers(zones, kernels.plan_record((), [(clock, value)]))
+        _check(result, expected, live)
 
     @given(layers_strategy, bounds_strategy)
     @settings(max_examples=150, deadline=None)
@@ -282,11 +297,7 @@ class TestKernelsAgainstReferences:
         (unless time is frozen) up and the invariants again -- upper bounds
         and difference bounds alike."""
         invariants = tuple((i, j, bound(value)) for i, j, value in bounds if i != j)
-        info = _DiscreteInfo(urgent, frozenset(), invariants)
         zones = _build_layers(constraint_lists)
-        zones = zones[zones[:, 0, 0] >= LE_ZERO]  # the step takes live layers
-        if not len(zones):
-            return
 
         def settle(m):
             if not all(ref_constrain(m, DIM, i, j, raw) for i, j, raw in invariants):
@@ -297,8 +308,9 @@ class TestKernelsAgainstReferences:
             return all(ref_constrain(m, DIM, i, j, raw) for i, j, raw in invariants)
 
         expected = _reference(zones, settle)
-        live = SuccessorGenerator._settle(zones, info)
-        _check(zones, expected, live)
+        record = kernels.plan_record((), (), invariants, delay=not urgent)
+        result, live = fire_layers(zones, record)
+        _check(result, expected, live)
 
     @given(st.lists(constraint_strategy, max_size=8), st.lists(constraint_strategy, max_size=8))
     @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import kernels
 from repro.core.dbm import DBM, LT_ZERO, bound
 from repro.core.federation import Federation
 from repro.util.errors import ModelError
@@ -18,6 +19,16 @@ def _box(dim: int, uppers: list[int]) -> DBM:
     for clock, upper in enumerate(uppers, start=1):
         assert zone.constrain(clock, 0, bound(upper))
     return zone
+
+
+def _flush(federation: Federation, stack: np.ndarray) -> None:
+    """Flush pre-screened zones as the decide step does: with the eviction
+    masks ``kernels.decide`` returns for them as one key's run."""
+    rows = stack.reshape(len(stack), federation.dim ** 2).copy()
+    bounds = np.array([[0, len(rows)]], dtype=np.int64)
+    stored, doomed, doomed_members = kernels.decide(rows, bounds, [federation.members], None)
+    assert stored.all()  # pre-screened: nothing is covered
+    federation.add_many_uncovered(stack, doomed_members, doomed)
 
 
 def _incomparable(n: int) -> list[DBM]:
@@ -211,7 +222,7 @@ class TestAddManyUncovered:
         for zone in zones:
             sequential.add_uncovered(zone)
         batched = Federation(3)
-        batched.add_many_uncovered(_stack_of(batch_zones))
+        _flush(batched, _stack_of(batch_zones))
         assert [z.key() for z in batched] == [z.key() for z in sequential]
         assert len(batched) == len(sequential) == 5
 
@@ -220,7 +231,7 @@ class TestAddManyUncovered:
         # must drop it before insertion
         z1, z2, z3 = _box(3, [1, 1]), _box(3, [5, 1]), _box(3, [2, 2])
         batched = Federation(3)
-        batched.add_many_uncovered(_stack_of([z1, z2, z3]))
+        _flush(batched, _stack_of([z1, z2, z3]))
         sequential = Federation(3)
         for zone in (_box(3, [1, 1]), _box(3, [5, 1]), _box(3, [2, 2])):
             sequential.add_uncovered(zone)
@@ -230,7 +241,7 @@ class TestAddManyUncovered:
     def test_batch_evicts_previously_stored_members(self):
         federation = Federation(3)
         federation.add(_box(3, [1, 1]))
-        federation.add_many_uncovered(_stack_of([_box(3, [3, 3]), _box(3, [1, 9])]))
+        _flush(federation, _stack_of([_box(3, [3, 3]), _box(3, [1, 9])]))
         zones = federation.zones
         assert not any(zone.is_subset_of(other)
                        for a, zone in enumerate(zones)
@@ -240,15 +251,23 @@ class TestAddManyUncovered:
 
     def test_empty_and_singleton_batches(self):
         federation = Federation(3)
-        federation.add_many_uncovered(np.empty((0, 9), dtype=np.int64))
+        _flush(federation, np.empty((0, 9), dtype=np.int64))
         assert len(federation) == 0
-        federation.add_many_uncovered(_stack_of([_box(3, [2, 2])]))
+        _flush(federation, _stack_of([_box(3, [2, 2])]))
         assert len(federation) == 1
         assert federation.zones == (_box(3, [2, 2]),)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ModelError):
-            Federation(3).add_many_uncovered(_stack_of([DBM.universal(4)] * 2))
+            Federation(3).add_many_uncovered(_stack_of([DBM.universal(4)] * 2),
+                                             np.zeros(0, dtype=bool), np.zeros(2, dtype=bool))
+
+    def test_mask_mismatch_rejected(self):
+        federation = Federation(3)
+        federation.add(_box(3, [1, 1]))
+        stack = _stack_of([_box(3, [3, 3])])
+        with pytest.raises(ModelError):
+            federation.add_many_uncovered(stack, np.zeros(0, dtype=bool), np.zeros(1, dtype=bool))
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_callers_rows_are_copied_in(self, size):
@@ -256,7 +275,7 @@ class TestAddManyUncovered:
         # reuses: the federation must keep its own copy
         rows = _stack_of(_incomparable(size))
         federation = Federation(3)
-        federation.add_many_uncovered(rows)
+        _flush(federation, rows)
         rows[:] = DBM.zero(3).m
         assert federation.zones == tuple(_incomparable(size))
 
@@ -367,7 +386,7 @@ class TestAgainstNaiveReference:
                         reference.add_uncovered(row)
                         screened.append(zone)
                 if screened:
-                    federation.add_many_uncovered(_stack_of(screened))
+                    _flush(federation, _stack_of(screened))
             seen.extend(batch)
             assert len(federation) == len(reference.members)
             assert [tuple(z.m.tolist()) for z in federation.zones] == reference.members

@@ -10,6 +10,7 @@ a stale entry, and the compiled wrappers refuse arrays C cannot read.
 
 import dataclasses
 import os
+from array import array
 import shutil
 import subprocess
 import sys
@@ -101,7 +102,7 @@ class TestLoader:
         assert not builds  # the stored source matched: loaded as is
         [stored] = (tmp_path / "repro").glob("zonekernels-*.c")
         source = stored.read_bytes()
-        stored.write_bytes(source.replace(b"zk_reset", b"zk_other"))
+        stored.write_bytes(source.replace(b"zk_fire", b"zk_other"))
         assert kernels._load()[1] == "compiled"
         assert len(builds) == 1  # the stored source differed: rebuilt
         assert stored.read_bytes() == source
@@ -144,29 +145,49 @@ class TestLoader:
         assert os.stat(directory).st_mode & 0o777 == 0o700
 
 
+def _fire_arguments(dim=4, count=2, record=None):
+    """Arguments for ``fire``: *count* zero zones, the one-plan program of
+    *record* (a guard x1 <= 5 by default) and output storage for them."""
+    record = record if record is not None else kernels.plan_record([(1, 0, bound(5))])
+    source = np.stack([DBM.zero(dim).m2] * count)
+    return (source, kernels.firing_program([record]), np.zeros_like(source),
+            np.zeros(count, dtype=np.int64), np.zeros(2, dtype=np.int64))
+
+
+def _decide_arguments(dim=3, count=2, members=1):
+    """Arguments for ``decide``: *count* zero rows as one run, and a
+    federation of *members* zero rows."""
+    rows = np.stack([DBM.zero(dim).m] * count)
+    federation = np.stack([DBM.zero(dim).m] * members)
+    return rows, np.array([[0, count]], dtype=np.int64), [federation], None
+
+
 @needs_compiled
 class TestArgumentChecks:
-    """The compiled wrappers refuse what C cannot read, with ModelError."""
+    """The compiled wrappers refuse what C cannot read, with ModelError,
+    before C writes anything."""
 
     compiled = kernels.COMPILED_KERNELS or {}
 
     def test_non_contiguous_view_is_refused(self):
         stack = np.stack([DBM.zero(4).m2, DBM.zero(4).m2])
+        rows = kernels.constraint_rows([(1, 0, bound(1))])
         with pytest.raises(ModelError):
-            self.compiled["reset_stack"](stack[:, :, ::-1], 1, 0)
+            self.compiled["constrain_stack"](stack[:, :, ::-1], rows)
         with pytest.raises(ModelError):
-            self.compiled["reset_stack"](stack.transpose(0, 2, 1), 1, 0)
+            self.compiled["constrain_stack"](stack.transpose(0, 2, 1), rows)
 
     def test_wrong_dtype_is_refused(self):
+        rows = kernels.constraint_rows([(1, 0, bound(1))])
         with pytest.raises(ModelError):
-            self.compiled["reset_stack"](np.zeros((2, 4, 4), dtype=np.int32), 1, 0)
+            self.compiled["constrain_stack"](np.zeros((2, 4, 4), dtype=np.int32), rows)
         with pytest.raises(ModelError):
             self.compiled["covers"](np.zeros((1, 16)), np.zeros(16))
 
     def test_mismatched_shapes_are_refused(self):
         zones = DBM.zero(4).m2[None]
         with pytest.raises(ModelError):
-            self.compiled["reset_stack"](np.zeros((3, 4), dtype=np.int64), 1, 0)
+            self.compiled["constrain_stack"](np.zeros((3, 4), dtype=np.int64), b"")
         with pytest.raises(ModelError):
             self.compiled["extrapolate_stack"](zones, zones[0], np.zeros((3, 3), dtype=np.int64))
         members = np.zeros((2, 16), dtype=np.int64)
@@ -184,12 +205,106 @@ class TestArgumentChecks:
         with pytest.raises(ModelError):
             rows = kernels.constraint_rows([(1, 0, bound(1)), (0, 4, bound(1))])
             self.compiled["constrain_stack"](stack, rows)
-        with pytest.raises(ModelError):
-            self.compiled["reset_stack"](stack, 0, 0)
-        clocks = np.array([1, 7], dtype=np.int64)
-        with pytest.raises(ModelError):
-            self.compiled["impose_upper_bounds_stack"](stack, clocks, np.ones(2, np.int64))
         assert np.array_equal(stack[0], DBM.zero(4).m2)  # refused before any write
+
+    @pytest.mark.parametrize("record", [
+        kernels.plan_record([(1, 0, bound(5)), (0, 4, bound(0))]),  # guard column
+        kernels.plan_record([], [(0, 3)]),  # the reference clock is never reset
+        kernels.plan_record([], [(4, 3)]),
+        kernels.plan_record([], [], [(7, 0, bound(5))], delay=True),  # an upper bound
+        kernels.plan_record([], [], [(1, 9, bound(5))], delay=True),  # a difference
+        kernels.plan_record([], [], [(0, 0, bound(5))], delay=True),  # x0 - x0
+    ])
+    def test_fire_refuses_a_clock_outside_the_matrix_in_the_program(self, record):
+        source = np.stack([DBM.zero(4).m2] * 2)
+        program = kernels.firing_program([kernels.plan_record([(1, 0, bound(5))]), record])
+        out, nodes = np.zeros((4, 4, 4), np.int64), np.zeros(4, np.int64)
+        counts = np.zeros(2, np.int64)
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, out, nodes, counts)
+        # the valid first plan did not run before the check: nothing written
+        assert not out.any() and not nodes.any() and not counts.any()
+
+    def test_fire_refuses_a_malformed_program(self):
+        source, program, out, nodes, counts = _fire_arguments()
+        values = array("q", program)
+        for broken in (program[:-8], program[:-1], program + bytes(8),
+                       array("q", [2, *values[1:]]).tobytes(),  # a plan too many
+                       array("q", [1, 0, 5, 0, 0, *values[5:]]).tobytes(),  # guards overrun
+                       array("q", [-1]).tobytes(), b"",
+                       np.frombuffer(program, dtype=np.int64)):  # not packed bytes
+            with pytest.raises(ModelError):
+                self.compiled["fire"](source, broken, out, nodes, counts)
+        assert not out.any()
+
+    def test_fire_refuses_too_little_output_storage(self):
+        source, program, out, nodes, counts = _fire_arguments()
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, out[:1], nodes, counts)
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, out, nodes[:1], counts)
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, out, nodes, counts[:0])
+        assert not out.any()
+
+    @pytest.mark.parametrize("argument", ["source", "out", "nodes", "counts"])
+    def test_fire_refuses_arrays_that_are_not_contiguous_int64(self, argument):
+        arguments = dict(zip(("source", "program", "out", "nodes", "counts"),
+                             _fire_arguments()))
+        original = arguments[argument]
+        for bad in (original.astype(np.int32),
+                    np.repeat(original, 2, axis=0)[::2]):  # a strided view
+            arguments[argument] = bad
+            with pytest.raises(ModelError):
+                self.compiled["fire"](*arguments.values())
+        assert not arguments["out"].any()
+
+    def test_fire_refuses_an_output_of_another_dimension(self):
+        source, program, out, nodes, counts = _fire_arguments()
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, np.zeros((2, 3, 3), np.int64), nodes, counts)
+
+    def test_fire_refuses_read_only_output(self):
+        source, program, out, nodes, counts = _fire_arguments()
+        out.setflags(write=False)
+        with pytest.raises(ModelError):
+            self.compiled["fire"](source, program, out, nodes, counts)
+
+    def test_decide_refuses_a_member_buffer_of_the_wrong_width(self):
+        rows, bounds, members, grids = _decide_arguments()
+        before = rows.copy()
+        for bad in (np.zeros((1, 16), np.int64), np.zeros((1, 9), np.int32),
+                    np.zeros((2, 18), np.int64)[:, ::2], np.zeros(9, np.int64)):
+            with pytest.raises(ModelError):
+                self.compiled["decide"](rows, bounds, [bad], grids)
+        assert np.array_equal(rows, before)
+
+    def test_decide_refuses_rows_bounds_and_grids_that_do_not_fit(self):
+        rows, bounds, members, grids = _decide_arguments()
+        before = rows.copy()
+        with pytest.raises(ModelError):  # not a square width
+            self.compiled["decide"](np.zeros((2, 8), np.int64), bounds, members, None)
+        with pytest.raises(ModelError):  # a run outside the rows
+            self.compiled["decide"](rows, np.array([[0, 3]], np.int64), members, None)
+        with pytest.raises(ModelError):  # runs out of order
+            self.compiled["decide"](rows, np.array([[1, 2], [0, 1]], np.int64),
+                                    members * 2, None)
+        with pytest.raises(ModelError):  # one member array per run
+            self.compiled["decide"](rows, bounds, [], None)
+        with pytest.raises(ModelError):
+            self.compiled["decide"](rows, bounds, members, (np.zeros((4, 4), np.int64),) * 2)
+        with pytest.raises(ModelError):
+            self.compiled["decide"](rows.astype(np.int32), bounds, members, None)
+        assert np.array_equal(rows, before)
+
+    def test_decide_never_writes_member_rows(self):
+        from repro.core.dbm import _extrapolation_grids
+
+        rows, bounds, members, _ = _decide_arguments(count=3, members=2)
+        members[0][1, 1] = bound(40)  # a member extrapolation would change
+        before = members[0].copy()
+        self.compiled["decide"](rows, bounds, members, _extrapolation_grids((0, 2, 2), (0, 2, 2)))
+        assert np.array_equal(members[0], before)
 
     def test_dbm_methods_surface_the_refusal(self, monkeypatch):
         _use(monkeypatch, self.compiled)

@@ -298,31 +298,39 @@ def _covered_by_earlier_reference(rows):
     return [any((rows[j] <= rows[i]).all() for i in range(j)) for j in range(len(rows))]
 
 
+def _screened(rows):
+    """The candidates ``kernels.decide`` drops when *rows* are one key's run
+    with an empty federation and no extrapolation: the within-round screen."""
+    rows = rows.copy()
+    bounds = np.array([[0, len(rows)]], dtype=np.int64)
+    stored, _doomed, _members = shard_mod.kernels.decide(
+        rows, bounds, [np.empty((0, rows.shape[1]), dtype=np.int64)], None
+    )
+    return (~stored).tolist()
+
+
 @pytest.mark.usefixtures("kernel_backend")
 class TestWithinRoundScreen:
-    """The decide step screens a key's candidates, raw and extrapolated, with
-    ``kernels.covered_by_earlier``: a candidate included in an earlier one of
-    the same round is discarded.  Both backends must agree with the naive
-    pair loop."""
+    """The decide step screens a key's candidates, raw and extrapolated,
+    inside ``kernels.decide``: a candidate included in an earlier one of the
+    same round is discarded.  Both backends must agree with the naive pair
+    loop."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_reference(self, seed):
         rng = np.random.default_rng(seed)
         # small values over few entries: plenty of inclusions and ties
-        rows = rng.integers(0, 3, size=(int(rng.integers(2, 60)), 6)).astype(np.int64)
-        assert shard_mod.kernels.covered_by_earlier(rows).tolist() == (
-            _covered_by_earlier_reference(rows)
-        )
+        rows = rng.integers(0, 3, size=(int(rng.integers(2, 60)), 9)).astype(np.int64)
+        assert _screened(rows) == _covered_by_earlier_reference(rows)
 
     def test_equal_rows_keep_the_first(self):
-        rows = np.array([[1, 2], [1, 2], [0, 5], [1, 2]], dtype=np.int64)
-        assert shard_mod.kernels.covered_by_earlier(rows).tolist() == [
-            False, True, False, True,
-        ]
+        rows = np.array([[1, 2, 0, 0], [1, 2, 0, 0], [0, 5, 0, 0], [1, 2, 0, 0]],
+                        dtype=np.int64)
+        assert _screened(rows) == [False, True, False, True]
 
     def test_short_screens_doom_nothing(self):
         for rows in (np.zeros((0, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64)):
-            assert not shard_mod.kernels.covered_by_earlier(rows).any()
+            assert not any(_screened(rows))
 
 
 def test_chunked_numpy_screen_matches(monkeypatch):

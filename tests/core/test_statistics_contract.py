@@ -8,6 +8,14 @@ trace and comparable :class:`ExplorationStatistics` field (wall time
 excluded; the shard topology counters are ``compare=False``) -- for every
 reductions config and every kind of run, including budget cut-offs,
 deadline stops and deferred plan errors.
+
+The main contract and the other networks' counts run on both zone-kernel
+backends (fixture ``kernel_backend``).  The scalar oracle fires through the
+same ``kernels.fire`` programs as the layered core, so it checks the store
+discipline, the round order and the statistics, not firing itself: the
+independent check on firing is the textbook explorer of
+``tests/core/reference_explorer.py`` (``test_reference_explorer.py``), which
+shares no code with the engine and runs on both backends too.
 """
 
 import dataclasses
@@ -29,7 +37,7 @@ from repro.core import (
     Sup,
     TimedAutomaton,
 )
-from repro.core import shard as shard_mod
+from repro.core import kernels, shard as shard_mod
 from repro.core.shard import ShardedExplorer
 from repro.util.errors import ModelError
 
@@ -246,8 +254,13 @@ def _observe(engine, reductions, run):
     return RUNS[run](make)
 
 
-@functools.lru_cache(maxsize=None)
 def _oracle(reductions, run):
+    """The scalar loop's observation on the zone-kernel backend bound now."""
+    return _oracle_on(kernels.BACKEND, reductions, run)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_on(backend, reductions, run):
     return _observe(ScalarOracle, reductions, run)
 
 
@@ -256,7 +269,7 @@ def _oracle(reductions, run):
 @pytest.mark.parametrize("engine", [
     "in-process", pytest.param("forked-2", marks=forks),
 ])
-def test_engine_matches_the_scalar_oracle(engine, reductions, run):
+def test_engine_matches_the_scalar_oracle(engine, reductions, run, kernel_backend):
     assert _observe(ENGINES[engine], reductions, run) == _oracle(reductions, run)
 
 
@@ -291,7 +304,7 @@ def test_the_clock_runs_exercise_what_they_claim():
 @pytest.mark.parametrize("engine", [
     "in-process", pytest.param("forked-2", marks=forks),
 ])
-def test_other_networks_count_identically(engine, network):
+def test_other_networks_count_identically(engine, network, kernel_backend):
     layered = ENGINES[engine](network(), search=SearchOptions()).count_states()
     scalar = ScalarOracle(network()).count_states()
     assert _stats(layered) == _stats(scalar)
