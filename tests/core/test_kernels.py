@@ -10,10 +10,10 @@ a stale entry, and the compiled wrappers refuse arrays C cannot read.
 
 import dataclasses
 import os
-from array import array
 import shutil
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
